@@ -34,6 +34,11 @@ class PropertyReport:
     witness: object = None
 
 
+def _check_universe(g, system):
+    if system.n != g.n:
+        raise ValidationError(f"category system is over n={system.n}, graph has n={g.n}")
+
+
 def is_internally_connected(g, system):
     """Does every category induce a connected subgraph of ``g``?
 
@@ -65,9 +70,8 @@ def is_shattered(g, system):
     The neighbor may be t itself. The witness is the first failing pair in
     lexicographic order.
     """
+    _check_universe(g, system)
     n = g.n
-    if system.n != n:
-        raise ValidationError(f"category system is over n={system.n}, graph has n={n}")
     full = (1 << n) - 1
     # For category C, the sources it can witness for any target in C are the
     # vertices outside C with a neighbor inside C.
@@ -94,85 +98,117 @@ def is_shattered(g, system):
     raise InternalCheckError("failing mask was non-empty but no witness pair found")
 
 
+def _forest(adjacency, vertex_masks, t):
+    """Greedy forwarding toward ``t`` from every vertex at once.
+
+    Returns ``(dist, nxt, depth)``: the category distance of each vertex to
+    ``t``, its next hop toward ``t`` (None where it is stuck, and at ``t``),
+    and its hop count to ``t`` (-1 where its route gets stuck). The step rule
+    is that of ``greedy_step``: strictly closer, then minimum distance, then
+    smallest id; adjacency is sorted, so ``min`` keeps the smallest id among
+    ties. A next hop is strictly closer to ``t``, so the next hops form a
+    forest whose roots are ``t`` and the stuck vertices, and visiting vertices
+    in increasing distance reaches every next hop before the vertices that
+    forward to it.
+    """
+    vt = vertex_masks[t]
+    dist = [(vt & ~m).bit_count() for m in vertex_masks]
+    at = dist.__getitem__
+    n = len(dist)
+    nxt = [None] * n
+    depth = [-1] * n
+    depth[t] = 0
+    for u in sorted(range(n), key=at):
+        neighbors = adjacency[u]
+        if neighbors:
+            v = min(neighbors, key=at)
+            if dist[v] < dist[u]:
+                nxt[u] = v
+                if depth[v] >= 0:
+                    depth[u] = depth[v] + 1
+    return dist, nxt, depth
+
+
 def iter_all_pair_routes(g, system):
     """Yield the greedy route trace for every ordered pair, grouped by target.
 
-    Routes are walked against a per-target distance table, which is what makes
-    exhaustive verification affordable; the step rule (strictly closer, then
-    minimum distance, then smallest id) is identical to ``greedy_route``.
+    Each target's next-hop forest is built once, in O(n + m) time and O(n)
+    memory, and every route toward it is read off by following next-hop
+    pointers, so a full sweep costs O(n (n + m)) plus the length of the
+    traces it yields. The traces equal ``greedy_route``'s.
     """
-    n = g.n
-    vm = system.vertex_masks
+    _check_universe(g, system)
     adjacency = g.adjacency
-    for t in range(n):
-        vt = vm[t]
-        dist = [(vt & ~vm[v]).bit_count() for v in range(n)]
-        for source in range(n):
+    vm = system.vertex_masks
+    for t in range(g.n):
+        dist, nxt, _ = _forest(adjacency, vm, t)
+        for source in range(g.n):
             if source == t:
                 continue
-            current = source
-            d_current = dist[source]
-            path = [current]
-            hops = [d_current]
-            while current != t:
-                best = None
-                best_distance = d_current
-                for v in adjacency[current]:
-                    dv = dist[v]
-                    if dv < best_distance:
-                        best_distance = dv
-                        best = v
-                if best is None:
-                    break
-                current, d_current = best, best_distance
+            path = [source]
+            current = nxt[source]
+            while current is not None:
                 path.append(current)
-                hops.append(d_current)
-            yield RouteTrace(source, t, tuple(path), tuple(hops), current == t)
+                current = nxt[current]
+            yield RouteTrace(
+                source, t, tuple(path), tuple(map(dist.__getitem__, path)), path[-1] == t
+            )
 
 
-def verify_all_pairs_routing(g, system):
-    """Route every ordered pair; hold iff all are delivered.
-
-    The witness is the lexicographically first failing ``(s, t)`` together
-    with the vertex the message got stuck at.
-    """
-    worst = None
-    for trace in iter_all_pair_routes(g, system):
-        if not trace.delivered:
-            key = (trace.source, trace.target)
-            if worst is None or key < worst[:2]:
-                worst = (trace.source, trace.target, trace.stuck_at)
-    if worst is None:
-        return PropertyReport(ALL_PAIRS_ROUTING, True)
-    return PropertyReport(ALL_PAIRS_ROUTING, False, worst)
-
-
-def route_statistics(g, system):
-    """One sweep over all ordered pairs: the routing report plus hop stats.
-
-    Returns ``(report, max_hops, mean_hops)``; the stats cover delivered
-    routes and are what the benchmark records.
-    """
+def _sweep(g, system):
+    """Routing report, max hops and mean hops over all ordered pairs."""
+    _check_universe(g, system)
+    n = g.n
+    adjacency = g.adjacency
+    vm = system.vertex_masks
     worst = None
     max_hops = 0
     total_hops = 0
     delivered = 0
-    for trace in iter_all_pair_routes(g, system):
-        if trace.delivered:
-            delivered += 1
-            total_hops += trace.hops
-            if trace.hops > max_hops:
-                max_hops = trace.hops
-        else:
-            key = (trace.source, trace.target)
-            if worst is None or key < worst[:2]:
-                worst = (trace.source, trace.target, trace.stuck_at)
+    for t in range(n):
+        _, nxt, depth = _forest(adjacency, vm, t)
+        # Every delivered source is at least one hop away; t itself reads 0.
+        hops = [d for d in depth if d > 0]
+        if hops:
+            delivered += len(hops)
+            total_hops += sum(hops)
+            max_hops = max(max_hops, max(hops))
+        if len(hops) < n - 1:
+            s = depth.index(-1)
+            if worst is None or s < worst[0]:
+                stuck = s
+                while nxt[stuck] is not None:
+                    stuck = nxt[stuck]
+                worst = (s, t, stuck)
     if worst is None:
         report = PropertyReport(ALL_PAIRS_ROUTING, True)
     else:
         report = PropertyReport(ALL_PAIRS_ROUTING, False, worst)
     mean_hops = total_hops / delivered if delivered else 0.0
     return report, max_hops, mean_hops
+
+
+def verify_all_pairs_routing(g, system):
+    """Route every ordered pair; hold iff all are delivered.
+
+    The witness is the lexicographically first failing ``(s, t)`` together
+    with the vertex the message got stuck at. Same sweep as
+    ``route_statistics``.
+    """
+    return _sweep(g, system)[0]
+
+
+def route_statistics(g, system):
+    """One sweep over all ordered pairs: the routing report plus hop stats.
+
+    Returns ``(report, max_hops, mean_hops)``; the stats cover delivered
+    routes and are what the benchmark records. Each target's next-hop forest
+    (see ``iter_all_pair_routes``) gives every source's verdict at once: a
+    source is delivered iff its route ends at the target, its hop count is
+    its depth in the forest, and a stuck route stops at the root of its tree.
+    The sweep costs O(n (n + m)) time and O(n) memory beyond the inputs.
+    """
+    return _sweep(g, system)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Command-line workbench. Subcommands: construct, route, check, stats, bench, fixtures.
 
 Exit codes: 0 success, 1 property or fixture failure (including a stuck
-route), 2 usage or input errors.
+route), 2 usage or input errors, 3 internal error (a must-hold invariant
+failed, which means a bug in this package).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .construct import (
     path_categories,
     tree_categories,
 )
-from .errors import GenerationError, ParseError, ValidationError
+from .errors import GenerationError, InternalCheckError, ParseError, ValidationError
 from .fixtures import run_fixtures
 from .graph import (
     as_binary,
@@ -232,6 +233,9 @@ def main(argv=None):
     except (ParseError, ValidationError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

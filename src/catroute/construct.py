@@ -115,13 +115,11 @@ def binary_tree_categories(tree):
 class EmbeddingMap:
     """A tree reshaped to binary form, with the bookkeeping to map back.
 
-    ``original_to_embedded`` places every original vertex in the binary tree
-    (originals keep their ids, so this is the identity); ``tree.origin`` is
+    Original vertices keep their ids in the binary tree; ``tree.origin`` is
     None exactly on the placeholder vertices; ``nearest_original`` folds every
     embedded vertex, placeholder or not, to its closest original ancestor.
     """
 
-    original_to_embedded: tuple
     tree: RootedBinaryTree
     original: RootedTree
     nearest_original: tuple
@@ -189,7 +187,6 @@ def embed_into_binary(tree):
         else:
             nearest[v] = nearest[embedded.parent[v]]
     return EmbeddingMap(
-        original_to_embedded=tuple(range(n)),
         tree=embedded,
         original=tree,
         nearest_original=tuple(nearest),

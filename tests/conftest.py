@@ -123,6 +123,45 @@ def oracle_shattered(g, system):
     return None
 
 
+def oracle_greedy_walk(g, system, s, t):
+    """Forward one message from s by the greedy rule, every distance taken from
+    the definition; returns (delivered, hops, last vertex)."""
+    current = s
+    hops = 0
+    while current != t:
+        here = oracle_distance(system, current, t)
+        closer = [
+            (oracle_distance(system, v, t), v)
+            for v in g.adjacency[current]
+            if oracle_distance(system, v, t) < here
+        ]
+        if not closer:
+            return False, hops, current
+        current = min(closer)[1]
+        hops += 1
+    return True, hops, current
+
+
+def oracle_all_pairs_routing(g, system):
+    """Walk every ordered pair on its own, in lexicographic order; returns
+    (first failing (s, t, stuck_at) or None, max hops, mean hops), the hop
+    stats over delivered pairs."""
+    witness = None
+    hop_counts = []
+    for s in range(g.n):
+        for t in range(g.n):
+            if s == t:
+                continue
+            delivered, hops, last = oracle_greedy_walk(g, system, s, t)
+            if delivered:
+                hop_counts.append(hops)
+            elif witness is None:
+                witness = (s, t, last)
+    if not hop_counts:
+        return witness, 0, 0.0
+    return witness, max(hop_counts), sum(hop_counts) / len(hop_counts)
+
+
 def oracle_internally_connected(g, system):
     """Union-find over each category's induced edges; first failing index."""
     for index, members in enumerate(system.categories):

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,14 +12,17 @@ from catroute import (
     is_shattered,
     iter_all_pair_routes,
     membership_dimension,
+    route_statistics,
     tree_categories,
     verify_all_pairs_routing,
 )
 from catroute.checks import ALL_PAIRS_ROUTING, INTERNALLY_CONNECTED
+from catroute.errors import ValidationError
 from catroute.fixtures import counterexample_cycle
 from catroute.graph import bfs_spanning_tree
 
 from conftest import (
+    oracle_all_pairs_routing,
     oracle_internally_connected,
     oracle_shattered,
     path_graph,
@@ -107,6 +111,17 @@ class TestVerifyAllPairsRouting:
     def test_report_name(self):
         g, s = counterexample_cycle()
         assert verify_all_pairs_routing(g, s).property_name == ALL_PAIRS_ROUTING
+
+    @pytest.mark.parametrize("universe", [2, 4])
+    def test_system_over_another_universe_is_rejected(self, universe):
+        g = path_graph(3)
+        s = CategorySystem(universe, [(0, 1)])
+        with pytest.raises(ValidationError):
+            verify_all_pairs_routing(g, s)
+        with pytest.raises(ValidationError):
+            route_statistics(g, s)
+        with pytest.raises(ValidationError):
+            next(iter_all_pair_routes(g, s))
 
 
 class TestSweepMatchesSingleRoutes:
@@ -206,6 +221,32 @@ def test_internal_connectivity_matches_definition_oracle(pair):
     g, s = pair
     report = is_internally_connected(g, s)
     assert report.witness == oracle_internally_connected(g, s)
+
+
+def _assert_sweep_matches_walk_oracle(g, s):
+    witness, max_hops, mean_hops = oracle_all_pairs_routing(g, s)
+    report, got_max, got_mean = route_statistics(g, s)
+    assert report.witness == witness
+    assert report.holds == (witness is None)
+    assert (got_max, got_mean) == (max_hops, mean_hops)
+    assert verify_all_pairs_routing(g, s) == report
+
+
+@settings(max_examples=60, deadline=None)
+@given(_instances())
+def test_all_pairs_sweep_matches_per_pair_walk_oracle(pair):
+    g, s = pair
+    _assert_sweep_matches_walk_oracle(g, s)
+
+
+def test_sweep_matches_walk_oracle_on_one_vertex():
+    _assert_sweep_matches_walk_oracle(Graph(1), CategorySystem(1, []))
+
+
+def test_sweep_matches_walk_oracle_without_categories():
+    g = Graph(2, [(0, 1)])
+    _assert_sweep_matches_walk_oracle(g, CategorySystem(2, []))
+    assert verify_all_pairs_routing(g, CategorySystem(2, [])).witness == (0, 1, 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 
 from catroute import parse_categories, path_categories, serialize_categories
 from catroute.cli import main
+from catroute.errors import InternalCheckError
 from catroute.fixtures import counterexample_cycle
 from catroute.graph import serialize_edge_list
 
@@ -110,6 +111,16 @@ class TestCheck:
     def test_unknown_property_is_usage_error(self, counter_files, capsys):
         graph_file, cats_file = counter_files
         assert main(["check", "--graph", graph_file, "--cats", cats_file, "--props", "x"]) == 2
+
+    def test_internal_error_has_its_own_exit_code(self, counter_files, capsys, monkeypatch):
+        def broken(g, system):
+            raise InternalCheckError("invariant broke")
+
+        monkeypatch.setattr("catroute.cli.is_shattered", broken)
+        graph_file, cats_file = counter_files
+        code = main(["check", "--graph", graph_file, "--cats", cats_file, "--props", "shattered"])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == ["internal error: invariant broke"]
 
 
 class TestStats:
