@@ -26,7 +26,6 @@ from .checks import (
     verify_all_pairs_routing,
 )
 from .construct import (
-    EmbeddingMap,
     binary_tree_categories,
     embed_into_binary,
     graph_categories,
@@ -45,9 +44,7 @@ from .fixtures import FixtureOutcome, counterexample_cycle, run_fixtures
 from .generators import FAMILIES, GeneratorSpec, generate
 from .graph import (
     Graph,
-    RootedBinaryTree,
     RootedTree,
-    as_binary,
     bfs_distances,
     bfs_spanning_tree,
     choose_root,
@@ -67,7 +64,6 @@ __all__ = [
     "BenchRecord",
     "CategorySystem",
     "DisconnectedGraphError",
-    "EmbeddingMap",
     "FAMILIES",
     "FixtureOutcome",
     "GenerationError",
@@ -77,11 +73,9 @@ __all__ = [
     "InternalCheckError",
     "ParseError",
     "PropertyReport",
-    "RootedBinaryTree",
     "RootedTree",
     "RouteTrace",
     "ValidationError",
-    "as_binary",
     "bench_one",
     "bfs_distances",
     "bfs_spanning_tree",

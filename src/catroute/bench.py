@@ -28,7 +28,7 @@ CSV_HEADER = (
     "mean_route_len,construct_millis,ratio"
 )
 
-DEFAULT_ALL_PAIRS_CAP = 500
+ALL_PAIRS_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,15 @@ class BenchRecord:
         )
 
 
-def bench_one(spec, all_pairs_cap=DEFAULT_ALL_PAIRS_CAP):
-    """Generate one instance, construct its categories, verify all pairs."""
-    if spec.n > all_pairs_cap:
+def bench_one(spec):
+    """Generate one instance, construct its categories, verify all pairs.
+
+    Specs with more than ``ALL_PAIRS_CAP`` vertices are rejected before
+    anything is generated.
+    """
+    if spec.n > ALL_PAIRS_CAP:
         raise ValidationError(
-            f"n={spec.n} exceeds the all-pairs verification cap of {all_pairs_cap}"
+            f"n={spec.n} exceeds the all-pairs verification cap of {ALL_PAIRS_CAP}"
         )
     g = generate(spec)
     started = time.perf_counter()
@@ -100,9 +104,9 @@ def bench_one(spec, all_pairs_cap=DEFAULT_ALL_PAIRS_CAP):
     )
 
 
-def run_benchmark(specs, sink=None, all_pairs_cap=DEFAULT_ALL_PAIRS_CAP):
+def run_benchmark(specs, sink=None):
     """Run every spec in order; write CSV to ``sink`` if given; return records."""
-    records = [bench_one(spec, all_pairs_cap) for spec in specs]
+    records = [bench_one(spec) for spec in specs]
     if sink is not None:
         sink.write(CSV_HEADER + "\n")
         for record in records:

@@ -45,6 +45,7 @@ def is_internally_connected(g, system):
     The witness is the index of the first category (in canonical order) whose
     induced subgraph falls apart.
     """
+    _check_universe(g, system)
     adjacency = g.adjacency
     for index, mask in enumerate(system.category_masks):
         members = system.categories[index]

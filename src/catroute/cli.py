@@ -15,23 +15,16 @@ from . import __version__
 from .bench import run_benchmark, specs_from_json
 from .categories import membership_dimension, parse_categories, serialize_categories
 from .checks import (
-    ALL_PAIRS_ROUTING,
     INTERNALLY_CONNECTED,
     SHATTERED,
     is_internally_connected,
     is_shattered,
     verify_all_pairs_routing,
 )
-from .construct import (
-    binary_tree_categories,
-    graph_categories,
-    path_categories,
-    tree_categories,
-)
+from .construct import binary_tree_categories, graph_categories, path_categories
 from .errors import GenerationError, InternalCheckError, ParseError, ValidationError
 from .fixtures import run_fixtures
 from .graph import (
-    as_binary,
     bfs_spanning_tree,
     choose_root,
     diameter,
@@ -40,12 +33,6 @@ from .graph import (
     parse_edge_list,
 )
 from .routing import format_trace, greedy_route
-
-_PROP_KEYS = {
-    "internal": INTERNALLY_CONNECTED,
-    "shattered": SHATTERED,
-    "all-pairs": ALL_PAIRS_ROUTING,
-}
 
 
 def build_parser():
@@ -111,18 +98,14 @@ def _construct(args):
     g = _load_graph(args.graph)
     method = args.method
     if method == "auto":
-        method = "path" if is_path(g) else "tree" if is_tree(g) else "graph"
+        # On a tree, the graph construction is the tree construction.
+        method = "path" if is_path(g) else "graph"
+    if method in ("binary-tree", "tree") and not is_tree(g):
+        raise ValidationError(f"{method} construction needs a tree")
     if method == "path":
         system = path_categories(g)
     elif method == "binary-tree":
-        if not is_tree(g):
-            raise ValidationError("binary-tree construction needs a tree")
-        tree = bfs_spanning_tree(g, choose_root(g, max_degree=2))
-        system = binary_tree_categories(as_binary(tree))
-    elif method == "tree":
-        if not is_tree(g):
-            raise ValidationError("tree construction needs a tree")
-        system = tree_categories(bfs_spanning_tree(g, choose_root(g)))
+        system = binary_tree_categories(bfs_spanning_tree(g, choose_root(g, max_degree=2)))
     else:
         system = graph_categories(g)
     text = serialize_categories(system)
@@ -159,15 +142,17 @@ def _render_witness(report):
 def _check(args):
     g = _load_graph(args.graph)
     system = _load_categories(args.cats, g.n)
-    requested = [key.strip() for key in args.props.split(",") if key.strip()]
-    unknown = [key for key in requested if key not in _PROP_KEYS]
-    if unknown:
-        raise ValidationError(f"unknown properties: {', '.join(unknown)}")
+    # Built per call, so that a check rebound on this module after import (as
+    # perfbench/tracer.py does) is the one that runs.
     checkers = {
         "internal": is_internally_connected,
         "shattered": is_shattered,
         "all-pairs": verify_all_pairs_routing,
     }
+    requested = [key.strip() for key in args.props.split(",") if key.strip()]
+    unknown = [key for key in requested if key not in checkers]
+    if unknown:
+        raise ValidationError(f"unknown properties: {', '.join(unknown)}")
     failed = False
     for key in requested:
         report = checkers[key](g, system)

@@ -4,19 +4,19 @@ Three layers, from special to general:
 
 * a path gets one prefix set and one suffix set per vertex, which is exact:
   the membership dimension equals the diameter;
-* a rooted binary tree gets, per vertex, its own subtree plus graded sets
-  that pair one child's subtree, sliced depth by depth, with the other
-  child's subtree taken whole. Walking down toward a target gains the
-  subtree sets of each child passed; crossing between subtrees gains a
-  graded set one slice above the current vertex;
+* a rooted tree in which every vertex has at most two children gets, per
+  vertex, its own subtree plus graded sets that pair one child's subtree,
+  sliced depth by depth, with the other child's subtree taken whole. Walking
+  down toward a target gains the subtree sets of each child passed; crossing
+  between subtrees gains a graded set one slice above the current vertex;
 * an arbitrary tree is first reshaped: every vertex with three or more
   children has its child list expanded into a weight-balanced binary gadget
   of placeholder vertices (recursive weight-midpoint splitting, so heavy
-  subtrees stay shallow), the binary construction runs on the reshaped tree,
-  and the resulting sets are mapped back by folding each placeholder into
-  its closest ancestor that is an original vertex. Folding, rather than
-  deleting, keeps every mapped set connected on the original tree and keeps
-  the neighbor witnesses alive, which is what makes routing go through.
+  subtrees stay shallow), and the binary construction runs on the reshaped
+  tree with every placeholder folded into its closest ancestor that is an
+  original vertex while the sets are built. Folding, rather than deleting,
+  keeps every set connected on the original tree and keeps the neighbor
+  witnesses alive, which is what makes routing go through.
 
 An arbitrary connected graph takes a BFS spanning tree from a center vertex
 and reuses the tree construction; greedy forwarding on the full graph only
@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .categories import CategorySystem, iter_bits
+from .categories import CategorySystem
 from .errors import ValidationError
 from .graph import (
     Graph,
-    RootedBinaryTree,
     RootedTree,
     bfs_distances,
     bfs_spanning_tree,
@@ -70,58 +69,37 @@ def path_categories(g):
 
 
 def binary_tree_categories(tree):
-    """Subtree plus graded-slice categories for a rooted binary tree.
+    """Subtree plus graded-slice categories for a rooted tree in which every
+    vertex has at most two children.
 
-    Per vertex v: the set of v's descendants (v included); and, when v has a
-    left child, one set per depth i from depth(v) up to depth(v) plus the
-    left child's height, holding v, the left subtree cut off at depth i, and
-    the whole right subtree. Symmetrically with the roles swapped when v has
-    a right child. Absent children contribute nothing.
+    Per vertex v: the set of v's descendants (v included); and, for each child
+    c of v, one set per depth i from depth(v) up to depth(v) plus c's height,
+    holding v, c's subtree cut off at depth i, and the whole subtree of v's
+    other child, if any. Which child is which does not matter: both take
+    their turn as the sliced one.
 
     The result is shattered and internally connected on the tree's graph, and
     each vertex lies in at most (h+1)(2h+3) sets, h the tree height: for each
     of its at most h+1 ancestors-or-self it picks up one subtree set and at
-    most h+1 graded sets per side.
+    most h+1 graded sets per side. A vertex with three or more children
+    raises ``ValidationError``.
     """
-    if not isinstance(tree, RootedBinaryTree):
-        raise ValidationError("binary_tree_categories needs a RootedBinaryTree")
-    n = tree.n
-    children = tree.children
-    order = _by_depth(tree)
-    subtree = [0] * n
-    for v in reversed(order):
-        mask = 1 << v
-        for c in children[v]:
-            mask |= subtree[c]
-        subtree[v] = mask
-    masks = list(subtree)
-    for v in range(n):
-        for near, far in ((tree.left[v], tree.right[v]), (tree.right[v], tree.left[v])):
-            if near is None:
-                continue
-            base = (1 << v) | (subtree[far] if far is not None else 0)
-            masks.append(base)  # slice at depth(v): nothing of the near side yet
-            sliced = 0
-            frontier = [near]
-            for _ in range(tree.height[near]):
-                for x in frontier:
-                    sliced |= 1 << x
-                masks.append(base | sliced)
-                frontier = [c for x in frontier for c in children[x]]
-    return CategorySystem.from_masks(n, masks)
+    for v, kids in enumerate(tree.children):
+        if len(kids) > 2:
+            raise ValidationError(f"vertex {v} has more than two children")
+    return CategorySystem.from_masks(tree.n, _masks(tree, [1 << v for v in range(tree.n)]))
 
 
 @dataclass(frozen=True)
 class EmbeddingMap:
-    """A tree reshaped to binary form, with the bookkeeping to map back.
+    """A tree reshaped to binary form, with the map back to the original.
 
-    Original vertices keep their ids in the binary tree; ``tree.origin`` is
-    None exactly on the placeholder vertices; ``nearest_original`` folds every
-    embedded vertex, placeholder or not, to its closest original ancestor.
+    Original vertices keep their ids 0..n-1 in the reshaped tree and the
+    placeholders take ids n, n+1, ...; ``nearest_original`` folds every
+    reshaped vertex, placeholder or not, to its closest original ancestor.
     """
 
-    tree: RootedBinaryTree
-    original: RootedTree
+    tree: RootedTree
     nearest_original: tuple
 
 
@@ -130,87 +108,55 @@ def embed_into_binary(tree):
 
     A vertex with three or more children has its id-ordered child list split
     recursively at the weight midpoint (weight of a child = its subtree size;
-    ties take the smaller left side), introducing one placeholder vertex per
-    split. Heavy children therefore sit near the top of their gadget, which
-    keeps the reshaped height within 3 * height + 2 * ceil(log2 n) + 3 and
-    preserves the ancestor-descendant relation between original vertices.
+    ties take the smaller left part), introducing one placeholder vertex per
+    part of two or more children. Heavy children therefore sit near the top
+    of their gadget, which keeps the reshaped height within
+    3 * height + 2 * ceil(log2 n) + 3 and preserves the ancestor-descendant
+    relation between original vertices.
     """
     n = tree.n
     sizes = [1] * n
-    order = _by_depth(tree)
-    for v in reversed(order):
-        for c in tree.children[v]:
-            sizes[v] += sizes[c]
+    for v in reversed(tree.order):
+        if v != tree.root:
+            sizes[tree.parent[v]] += sizes[v]
 
     parent = list(tree.parent)
-    left = [None] * n
-    right = [None] * n
-    origin = list(range(n))
-
-    def new_placeholder(host):
-        parent.append(host)
-        left.append(None)
-        right.append(None)
-        origin.append(None)
-        return len(parent) - 1
-
-    def set_child(host, side, child):
-        parent[child] = host
-        if side == 0:
-            left[host] = child
-        else:
-            right[host] = child
-
     for u in range(n):
         kids = tree.children[u]
         if len(kids) <= 2:
-            for side, c in enumerate(kids):
-                set_child(u, side, c)
             continue
         pending = [(u, kids)]
         while pending:
             host, seq = pending.pop()
             cut = _weight_midpoint(seq, sizes)
-            for side, part in enumerate((seq[:cut], seq[cut:])):
+            for part in (seq[:cut], seq[cut:]):
                 if len(part) == 1:
-                    set_child(host, side, part[0])
+                    parent[part[0]] = host
                 else:
-                    d = new_placeholder(host)
-                    set_child(host, side, d)
-                    pending.append((d, part))
+                    parent.append(host)
+                    pending.append((len(parent) - 1, part))
 
-    embedded = RootedBinaryTree(parent, tree.root, left, right, origin)
-    nearest = [None] * embedded.n
-    for v in _by_depth(embedded):
-        if embedded.origin[v] is not None:
-            nearest[v] = embedded.origin[v]
-        else:
-            nearest[v] = nearest[embedded.parent[v]]
-    return EmbeddingMap(
-        tree=embedded,
-        original=tree,
-        nearest_original=tuple(nearest),
-    )
+    embedded = RootedTree(parent, tree.root)
+    nearest = list(range(embedded.n))
+    for v in embedded.order:
+        if v >= n:
+            nearest[v] = nearest[parent[v]]
+    return EmbeddingMap(tree=embedded, nearest_original=tuple(nearest))
 
 
 def tree_categories(tree):
     """Categories for an arbitrary rooted tree, via the binary embedding.
 
-    Runs the binary construction on the reshaped tree, then folds every
-    placeholder vertex in every set into its closest original ancestor and
-    collapses duplicates. The folded system is internally connected and
-    shattered on the original tree, so greedy routing delivers every pair.
+    Runs the binary construction on the reshaped tree with every placeholder
+    vertex folded into its closest original ancestor as the sets are built,
+    and collapses duplicates. Folding maps unions to unions, so this gives
+    exactly the binary construction's sets folded afterwards. The folded
+    system is internally connected and shattered on the original tree, so
+    greedy routing delivers every pair.
     """
     embedding = embed_into_binary(tree)
-    embedded_system = binary_tree_categories(embedding.tree)
-    fold = embedding.nearest_original
-    masks = []
-    for mask in embedded_system.category_masks:
-        folded = 0
-        for b in iter_bits(mask):
-            folded |= 1 << fold[b]
-        masks.append(folded)
-    return CategorySystem.from_masks(tree.n, masks)
+    bit = [1 << v for v in embedding.nearest_original]
+    return CategorySystem.from_masks(tree.n, _masks(embedding.tree, bit))
 
 
 def graph_categories(g):
@@ -241,15 +187,32 @@ def impossibility_pair():
     return first, second
 
 
-def _by_depth(tree):
-    """Vertices ordered root first, then by increasing depth."""
-    buckets = {}
-    for v in range(tree.n):
-        buckets.setdefault(tree.depth[v], []).append(v)
-    order = []
-    for d in sorted(buckets):
-        order.extend(buckets[d])
-    return order
+def _masks(tree, bit):
+    """The binary construction's sets on a tree with at most two children per
+    vertex, as masks in which vertex v contributes ``bit[v]``."""
+    children = tree.children
+    subtree = [0] * tree.n
+    for v in reversed(tree.order):
+        mask = bit[v]
+        for c in children[v]:
+            mask |= subtree[c]
+        subtree[v] = mask
+    masks = list(subtree)
+    for v, kids in enumerate(children):
+        for near in kids:
+            base = bit[v]
+            for far in kids:
+                if far != near:
+                    base |= subtree[far]
+            masks.append(base)  # slice at depth(v): nothing of the near side yet
+            sliced = 0
+            frontier = [near]
+            for _ in range(tree.height[near]):
+                for x in frontier:
+                    sliced |= bit[x]
+                masks.append(base | sliced)
+                frontier = [c for x in frontier for c in children[x]]
+    return masks
 
 
 def _weight_midpoint(seq, sizes):

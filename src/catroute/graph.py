@@ -230,12 +230,13 @@ class RootedTree:
     """A tree with a distinguished root and derived per-vertex structure.
 
     ``parent[root]`` is None; ``children`` lists are sorted; ``depth`` counts
-    hops from the root; ``height`` is the longest downward path length.
+    hops from the root; ``height`` is the longest downward path length;
+    ``order`` lists the vertices top-down in BFS order, root first.
     """
 
-    __slots__ = ("graph", "root", "parent", "children", "depth", "height")
+    __slots__ = ("graph", "root", "parent", "children", "depth", "height", "order")
 
-    def __init__(self, parent, root, graph=None):
+    def __init__(self, parent, root):
         parent = list(parent)
         n = len(parent)
         if not (0 <= root < n):
@@ -270,54 +271,15 @@ class RootedTree:
         self.children = tuple(tuple(c) for c in children)
         self.depth = tuple(depth)
         self.height = tuple(height)
-        if graph is None:
-            graph = Graph(n, ((v, p) for v, p in enumerate(parent) if p is not None))
-        self.graph = graph
+        self.order = tuple(order)
+        self.graph = Graph(n, ((v, p) for v, p in enumerate(parent) if p is not None))
 
     @property
     def n(self):
         return len(self.parent)
 
-    def is_binary(self):
-        return all(len(c) <= 2 for c in self.children)
-
     def __repr__(self):
-        return f"{type(self).__name__}(n={self.n}, root={self.root})"
-
-
-class RootedBinaryTree(RootedTree):
-    """Rooted tree where each vertex has optional left/right children.
-
-    ``origin`` maps each vertex back to an original vertex id; it is None for
-    placeholder vertices introduced by the binary embedding and must be
-    injective where present.
-    """
-
-    __slots__ = ("left", "right", "origin")
-
-    def __init__(self, parent, root, left, right, origin=None, graph=None):
-        super().__init__(parent, root, graph)
-        n = self.n
-        left = tuple(left)
-        right = tuple(right)
-        if len(left) != n or len(right) != n:
-            raise ValidationError("left/right arrays must cover every vertex")
-        for v in range(n):
-            declared = {c for c in (left[v], right[v]) if c is not None}
-            if declared != set(self.children[v]):
-                raise ValidationError(f"left/right of vertex {v} disagree with its children")
-        if origin is None:
-            origin = tuple(range(n))
-        else:
-            origin = tuple(origin)
-            if len(origin) != n:
-                raise ValidationError("origin array must cover every vertex")
-            present = [o for o in origin if o is not None]
-            if len(present) != len(set(present)):
-                raise ValidationError("origin must be injective over non-placeholder vertices")
-        self.left = left
-        self.right = right
-        self.origin = origin
+        return f"RootedTree(n={self.n}, root={self.root})"
 
 
 def bfs_spanning_tree(g, root):
@@ -340,23 +302,3 @@ def bfs_spanning_tree(g, root):
         want = dist[v] - 1
         parent[v] = next(w for w in g.adjacency[v] if dist[w] == want)
     return RootedTree(parent, root)
-
-
-def as_binary(tree):
-    """View a rooted tree with at most two children per vertex as a binary tree.
-
-    A single child becomes the left child; two children are assigned left and
-    right by ascending id. The origin map is the identity.
-    """
-    if not tree.is_binary():
-        offender = next(v for v in range(tree.n) if len(tree.children[v]) > 2)
-        raise ValidationError(f"vertex {offender} has more than two children")
-    left = [None] * tree.n
-    right = [None] * tree.n
-    for v in range(tree.n):
-        kids = tree.children[v]
-        if len(kids) >= 1:
-            left[v] = kids[0]
-        if len(kids) == 2:
-            right[v] = kids[1]
-    return RootedBinaryTree(tree.parent, tree.root, left, right, graph=tree.graph)

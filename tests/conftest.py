@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from catroute import CategorySystem, Graph, RootedBinaryTree, RootedTree
+from catroute import CategorySystem, Graph, RootedTree
 
 
 def path_graph(n):
@@ -40,23 +40,17 @@ def random_tree(rng, n, skew="uniform"):
 
 
 def random_binary_tree(rng, n):
-    """Grow by attaching each new vertex to a uniformly random free slot."""
+    """Grow by attaching each new vertex to a uniformly random free slot (each
+    vertex has two), so no vertex gets more than two children."""
     parent = [None] * n
-    left = [None] * n
-    right = [None] * n
-    slots = [(0, 0), (0, 1)]
+    slots = [0, 0]
     for v in range(1, n):
         index = rng.randrange(len(slots))
         slots[index], slots[-1] = slots[-1], slots[index]
-        host, side = slots.pop()
-        parent[v] = host
-        if side == 0:
-            left[host] = v
-        else:
-            right[host] = v
-        slots.append((v, 0))
-        slots.append((v, 1))
-    return RootedBinaryTree(parent, 0, left, right)
+        parent[v] = slots.pop()
+        slots.append(v)
+        slots.append(v)
+    return RootedTree(parent, 0)
 
 
 def random_category_system(rng, n, max_sets=8):

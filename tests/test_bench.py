@@ -4,7 +4,13 @@ import math
 import pytest
 
 from catroute import GeneratorSpec, ValidationError, run_fixtures
-from catroute.bench import CSV_HEADER, bench_one, run_benchmark, specs_from_json
+from catroute.bench import (
+    ALL_PAIRS_CAP,
+    CSV_HEADER,
+    bench_one,
+    run_benchmark,
+    specs_from_json,
+)
 
 
 def _csv_without_millis(text):
@@ -54,7 +60,7 @@ class TestBenchRecords:
 
     def test_cap_enforced(self):
         with pytest.raises(ValidationError):
-            bench_one(GeneratorSpec("path", 20), all_pairs_cap=10)
+            bench_one(GeneratorSpec("path", ALL_PAIRS_CAP + 1))
 
 
 class TestCsvOutput:

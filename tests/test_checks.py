@@ -116,10 +116,9 @@ class TestVerifyAllPairsRouting:
     def test_system_over_another_universe_is_rejected(self, universe):
         g = path_graph(3)
         s = CategorySystem(universe, [(0, 1)])
-        with pytest.raises(ValidationError):
-            verify_all_pairs_routing(g, s)
-        with pytest.raises(ValidationError):
-            route_statistics(g, s)
+        for check in (is_internally_connected, verify_all_pairs_routing, route_statistics):
+            with pytest.raises(ValidationError):
+                check(g, s)
         with pytest.raises(ValidationError):
             next(iter_all_pair_routes(g, s))
 

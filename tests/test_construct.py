@@ -9,7 +9,6 @@ from catroute import (
     Graph,
     RootedTree,
     ValidationError,
-    as_binary,
     binary_tree_categories,
     bfs_spanning_tree,
     diameter,
@@ -91,19 +90,19 @@ class TestPathCategories:
 
 class TestBinaryTreeCategories:
     def test_root_with_two_leaves_exact_sets(self):
-        tree = as_binary(RootedTree([None, 0, 0], 0))
+        tree = RootedTree([None, 0, 0], 0)
         s = binary_tree_categories(tree)
         assert set(s.categories) == {(0, 1, 2), (1,), (2,), (0, 2), (0, 1)}
         assert membership_dimension(s) == 3
 
     def test_single_vertex(self):
-        tree = as_binary(RootedTree([None], 0))
+        tree = RootedTree([None], 0)
         s = binary_tree_categories(tree)
         assert s.categories == ((0,),)
         assert membership_dimension(s) == 1
 
     def test_left_only_chain(self):
-        tree = as_binary(RootedTree([None, 0, 1], 0))
+        tree = RootedTree([None, 0, 1], 0)
         s = binary_tree_categories(tree)
         assert_construction_contract(tree.graph, s)
 
@@ -116,9 +115,9 @@ class TestBinaryTreeCategories:
             assert membership_dimension(s) <= (h + 1) * (2 * h + 3)
             assert_construction_contract(tree.graph, s)
 
-    def test_requires_binary_tree_type(self):
-        with pytest.raises(ValidationError):
-            binary_tree_categories(RootedTree([None, 0, 0], 0))
+    def test_three_children_rejected(self):
+        with pytest.raises(ValidationError, match="vertex 1 has more than two children"):
+            binary_tree_categories(RootedTree([None, 0, 1, 1, 1], 0))
 
 
 class TestEmbedIntoBinary:
@@ -127,8 +126,7 @@ class TestEmbedIntoBinary:
         emb = embed_into_binary(tree)
         b = emb.tree
         assert b.n == 7  # 5 originals + 2 placeholders
-        assert b.origin[5] is None and b.origin[6] is None
-        assert {b.left[0], b.right[0]} == {5, 6}
+        assert set(b.children[0]) == {5, 6}
         for leaf in (1, 2, 3, 4):
             assert b.depth[leaf] == 2
         assert emb.nearest_original[5] == 0 and emb.nearest_original[6] == 0
@@ -138,7 +136,7 @@ class TestEmbedIntoBinary:
         tree = random_binary_tree(rng, 25)
         emb = embed_into_binary(tree)
         assert emb.tree.n == tree.n
-        assert all(origin is not None for origin in emb.tree.origin)
+        assert emb.nearest_original == tuple(range(tree.n))
         assert set(emb.tree.graph.edges()) == set(tree.graph.edges())
 
     def test_path_shape_is_identity(self):
@@ -159,8 +157,13 @@ class TestEmbedIntoBinary:
         rng = seeded(5)
         tree = random_tree(rng, 40, skew="hub")
         emb = embed_into_binary(tree)
-        originals = [v for v in range(emb.tree.n) if emb.tree.origin[v] is not None]
-        assert sorted(emb.tree.origin[v] for v in originals) == list(range(40))
+        b = emb.tree
+        assert emb.nearest_original[:40] == tuple(range(40))
+        for v in range(40, b.n):
+            walk = b.parent[v]
+            while walk >= 40:
+                walk = b.parent[walk]
+            assert emb.nearest_original[v] == walk
 
 
 @settings(max_examples=40, deadline=None)
