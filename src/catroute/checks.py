@@ -39,27 +39,48 @@ def _check_universe(g, system):
         raise ValidationError(f"category system is over n={system.n}, graph has n={g.n}")
 
 
+# Above this degree a popped vertex finds its unseen in-category neighbours
+# with one mask AND. At or below it, testing each edge is faster: with the
+# mask form alone, the check ran about half as fast on paths, cycles and
+# random trees.
+_MASK_DEGREE = 8
+
+
 def is_internally_connected(g, system):
     """Does every category induce a connected subgraph of ``g``?
 
     The witness is the index of the first category (in canonical order) whose
-    induced subgraph falls apart.
+    induced subgraph falls apart. Each category is searched from its smallest
+    member, keeping its unseen members as a mask. A popped vertex of degree at
+    most ``_MASK_DEGREE`` tests its edges one by one; one of higher degree
+    finds its unseen neighbours in the category with one n-bit AND. Per
+    category that is one bit test per edge of each low-degree member reached,
+    plus one AND per high-degree member, so what a hub costs a category does
+    not grow with its degree.
     """
     _check_universe(g, system)
     adjacency = g.adjacency
+    neighbor_masks = g.neighbor_masks
+    bits = [1 << v for v in range(g.n)]
     for index, mask in enumerate(system.category_masks):
-        members = system.categories[index]
-        start = members[0]
-        seen = 1 << start
+        start = system.categories[index][0]
+        unseen = mask ^ bits[start]
         stack = [start]
-        while stack:
+        while stack and unseen:
             u = stack.pop()
-            for v in adjacency[u]:
-                bit = 1 << v
-                if mask & bit and not seen & bit:
-                    seen |= bit
-                    stack.append(v)
-        if seen != mask:
+            neighbors = adjacency[u]
+            if len(neighbors) > _MASK_DEGREE:
+                found = neighbor_masks[u] & unseen
+                if found:
+                    unseen ^= found
+                    stack.extend(iter_bits(found))
+            else:
+                for v in neighbors:
+                    bit = bits[v]
+                    if unseen & bit:
+                        unseen ^= bit
+                        stack.append(v)
+        if unseen:
             return PropertyReport(INTERNALLY_CONNECTED, False, index)
     return PropertyReport(INTERNALLY_CONNECTED, True)
 

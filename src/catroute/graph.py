@@ -185,7 +185,9 @@ def is_path(g):
 
 
 def eccentricity(g, v):
-    """Max hop distance from v to any vertex. Requires a connected graph."""
+    """Max hop distance from v to any vertex, by one BFS. Requires a connected
+    graph. The reach sweep behind ``diameter`` and ``choose_root`` is tested
+    against it."""
     dist = bfs_distances(g, v)
     worst = 0
     for u, d in enumerate(dist):
@@ -196,34 +198,81 @@ def eccentricity(g, v):
     return worst
 
 
+def _eccentricity_levels(g):
+    """Yield ``(k, vertices of eccentricity k)`` for increasing k, ids ascending.
+
+    A bit-parallel BFS from all sources at once (the reach sweep of Akiba,
+    Iwata and Yoshida, SIGMOD 2013). At level k each vertex holds its ball of
+    radius k as a vertex bitmask, and its ball of radius k + 1 is the OR of
+    its own and its neighbours' balls of radius k. A vertex's eccentricity is
+    the level at which its ball becomes the whole vertex set, and it then
+    leaves the sweep. A level costs one n-bit OR per adjacency entry of a
+    vertex still in the sweep, so the sweep runs O(diam * m) big-int ORs, and
+    its two lists of balls hold about 2 * n^2 / 8 bytes at peak. Requires a
+    connected graph with n >= 1.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    if n == 1:
+        yield 0, [0]
+        return
+    adjacency = g.adjacency
+    prev = [1 << v for v in range(n)]
+    cur = prev[:]
+    active = range(n)
+    k = 0
+    while active:
+        k += 1
+        done = []
+        still = []
+        for v in active:
+            r = prev[v]
+            for u in adjacency[v]:
+                r |= prev[u]
+            cur[v] = r
+            if r == full:
+                done.append(v)
+            else:
+                still.append(v)
+        # The lists swap roles, so from level k + 2 on a vertex full at level
+        # k has a stale ball in the list being read. Only its neighbours read
+        # it, and they are full by level k + 1 and out of the sweep.
+        prev, cur = cur, prev
+        active = still
+        if done:
+            yield k, done
+
+
 def diameter(g):
-    """Max shortest-path distance over all pairs, by BFS from every vertex."""
+    """Max shortest-path distance over all pairs: the last level of one reach
+    sweep over all sources (see ``_eccentricity_levels`` for its cost)."""
     if g.n == 0:
         raise ValidationError("diameter of an empty graph is undefined")
     witness = disconnected_witness(g)
     if witness is not None:
         raise DisconnectedGraphError(*witness)
-    return max(eccentricity(g, v) for v in range(g.n))
+    return max(k for k, _ in _eccentricity_levels(g))
 
 
 def choose_root(g, max_degree=None):
     """Deterministic root choice: minimum eccentricity, ties by smallest id.
 
     With ``max_degree`` set, only vertices of at most that degree are
-    candidates; a connected graph is required either way.
+    candidates; a connected graph is required either way. The reach sweep
+    (see ``_eccentricity_levels``) stops at the first level where a candidate
+    is full, so it runs radius levels rather than diameter levels.
     """
     if g.n == 0:
         raise ValidationError("cannot choose a root in an empty graph")
     witness = disconnected_witness(g)
     if witness is not None:
         raise DisconnectedGraphError(*witness)
-    if max_degree is None:
-        candidates = range(g.n)
-    else:
-        candidates = [v for v in range(g.n) if g.degree(v) <= max_degree]
-        if not candidates:
-            raise ValidationError(f"no vertex of degree <= {max_degree}")
-    return min(candidates, key=lambda v: (eccentricity(g, v), v))
+    if max_degree is not None and all(g.degree(v) > max_degree for v in range(g.n)):
+        raise ValidationError(f"no vertex of degree <= {max_degree}")
+    for _, vertices in _eccentricity_levels(g):
+        for v in vertices:
+            if max_degree is None or g.degree(v) <= max_degree:
+                return v
 
 
 class RootedTree:

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catroute import (
     CategorySystem,
     Graph,
+    RootedTree,
     check_implications,
     diameter,
     greedy_route,
@@ -16,7 +17,7 @@ from catroute import (
     tree_categories,
     verify_all_pairs_routing,
 )
-from catroute.checks import ALL_PAIRS_ROUTING, INTERNALLY_CONNECTED
+from catroute.checks import _MASK_DEGREE, ALL_PAIRS_ROUTING, INTERNALLY_CONNECTED
 from catroute.errors import ValidationError
 from catroute.fixtures import counterexample_cycle
 from catroute.graph import bfs_spanning_tree
@@ -220,6 +221,42 @@ def test_internal_connectivity_matches_definition_oracle(pair):
     g, s = pair
     report = is_internally_connected(g, s)
     assert report.witness == oracle_internally_connected(g, s)
+
+
+def _hub_instances():
+    """Stars and hub-skewed trees whose hub has degree above the connectivity
+    check's mask switch, with the tree construction's sets (many hold the
+    hub), some of them with the hub taken out (they split apart), and a few
+    random sets."""
+
+    def build(star, n, seed):
+        rng = seeded(seed)
+        tree = RootedTree([None] + [0] * (n - 1), 0) if star else random_tree(rng, n, "hub")
+        hub = max(range(n), key=tree.graph.degree)
+        sets = [set(members) for members in tree_categories(tree).categories]
+        holding = [members for members in sets if hub in members and len(members) > 2]
+        for members in rng.sample(holding, rng.randint(0, min(len(holding), 5))):
+            sets.append(members - {hub})
+        for _ in range(rng.randint(0, 3)):
+            sets.append(set(rng.sample(range(n), rng.randint(2, n))) | {hub})
+        return tree.graph, CategorySystem(n, sets)
+
+    return st.builds(
+        build,
+        st.booleans(),
+        st.integers(min_value=2 * _MASK_DEGREE, max_value=80),
+        st.integers(min_value=0, max_value=10_000),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hub_instances())
+def test_internal_connectivity_on_hubs_matches_definition_oracle(pair):
+    g, s = pair
+    assume(max(map(g.degree, range(g.n))) > _MASK_DEGREE)
+    report = is_internally_connected(g, s)
+    assert report.witness == oracle_internally_connected(g, s)
+    assert report.holds == (report.witness is None)
 
 
 def _assert_sweep_matches_walk_oracle(g, s):

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,10 +169,16 @@ class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         graph_file = tmp_path / "p.edges"
         graph_file.write_text("0 1\n1 2\n")
+        # pytest's ``pythonpath`` setting reaches this process only, so the
+        # child gets the checkout's src/ on its own import path.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         result = subprocess.run(
             [sys.executable, "-m", "catroute", "stats", "--graph", str(graph_file)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert result.stdout == "n=3\nm=2\ndiam=2\n"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catroute import (
@@ -20,7 +20,14 @@ from catroute import (
 )
 from catroute.generators import GeneratorSpec, generate
 
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    seeded,
+    star_graph,
+)
 
 
 class TestGraphType:
@@ -250,10 +257,51 @@ def test_serialize_parse_roundtrip(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
 
 
-@settings(max_examples=25, deadline=None)
-@given(_graphs())
-def test_chosen_root_has_minimum_eccentricity(g):
-    root = choose_root(g)
+def _sweep_graphs():
+    """Generated graphs plus long paths and cycles, whose reach sweeps run the
+    most levels, and random graphs down to one vertex."""
+    return st.one_of(
+        _graphs(),
+        st.builds(path_graph, st.integers(min_value=1, max_value=150)),
+        st.builds(cycle_graph, st.integers(min_value=3, max_value=150)),
+        st.builds(
+            lambda n, seed: random_connected_graph(seeded(seed), n),
+            st.integers(min_value=1, max_value=30),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sweep_graphs(), st.integers(min_value=0, max_value=4))
+@example(Graph(1), 0)
+@example(path_graph(2), 0)
+@example(path_graph(2), 1)
+def test_chosen_root_has_minimum_eccentricity(g, max_degree):
+    # The reach sweep behind choose_root and diameter against one BFS per vertex.
     eccentricities = [eccentricity(g, v) for v in range(g.n)]
-    assert eccentricities[root] == min(eccentricities)
-    assert root == min(v for v in range(g.n) if eccentricities[v] == eccentricities[root])
+    assert diameter(g) == max(eccentricities)
+    assert choose_root(g) == min(range(g.n), key=lambda v: (eccentricities[v], v))
+    eligible = [v for v in range(g.n) if g.degree(v) <= max_degree]
+    if eligible:
+        best = min(eligible, key=lambda v: (eccentricities[v], v))
+        assert choose_root(g, max_degree=max_degree) == best
+    else:
+        with pytest.raises(ValidationError):
+            choose_root(g, max_degree=max_degree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10_000))
+def test_disconnected_input_names_first_vertex_unreachable_from_zero(n, seed):
+    # A random forest: each vertex joins an earlier one with probability 0.7,
+    # except one, which starts a component of its own.
+    rng = seeded(seed)
+    loner = rng.randrange(1, n)
+    g = Graph(n, [(rng.randrange(v), v) for v in range(1, n) if v != loner and rng.random() < 0.7])
+    dist = bfs_distances(g, 0)
+    first = min(v for v in range(n) if dist[v] is None)
+    for call in (diameter, choose_root, lambda g: choose_root(g, max_degree=0)):
+        with pytest.raises(DisconnectedGraphError) as err:
+            call(g)
+        assert err.value.unreachable_pair == (0, first)
