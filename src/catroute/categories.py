@@ -4,6 +4,14 @@ Each category is stored as a bitmask over the vertex universe, and each vertex
 carries a bitmask over category indices, so the routing distance (a set
 difference size) is a single popcount either way.
 
+Both constructors share one canonicalisation. Duplicate sets collapse before
+any per-member work; each distinct category's ascending member tuple is made
+once (from the mask, a step per non-zero byte and per member; from a member
+list, one C-level sort) and the ``(members, mask)`` pairs are sorted by member
+tuple. The vertex masks are the transpose: every category index is scattered
+into one byte row per vertex, and each row becomes an int once, so no k-bit
+int is rebuilt per membership.
+
 Interchange format, shared by the CLI subcommands:
 
     {"n": <universe size>, "categories": [[members ascending], ...]}
@@ -14,6 +22,8 @@ with the outer list in canonical order (lexicographic by member list).
 from __future__ import annotations
 
 import json
+from itertools import compress, count
+from operator import index
 
 from .errors import ParseError, ValidationError
 
@@ -24,6 +34,40 @@ def iter_bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# The set bit positions of each byte value, ascending.
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def _members(mask):
+    """Ascending member tuple of a non-negative mask: one step per non-zero
+    byte and one per member, with the zero bytes skipped in C."""
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    return tuple([8 * j + i for j in compress(count(), data) for i in _BYTE_BITS[data[j]]])
+
+
+def _pairs(n, sets):
+    """``(members, mask)`` of each distinct input set, members ascending.
+
+    Sets are range-checked in input order; an out-of-range message names the
+    set's first offending member in input order, so ``sets`` must yield
+    re-iterable member collections.
+    """
+    rows = set()
+    for members in sets:
+        row = tuple(sorted(set(members)))
+        if row and (row[0] < 0 or row[-1] >= n):
+            bad = next(v for v in members if not 0 <= v < n)
+            raise ValidationError(f"category member {bad} out of range for n={n}")
+        rows.add(row)
+    pairs = []
+    for row in rows:
+        mask = 0
+        for v in row:
+            mask |= 1 << v
+        pairs.append((row, mask))
+    return pairs
 
 
 class CategorySystem:
@@ -37,43 +81,45 @@ class CategorySystem:
     __slots__ = ("n", "categories", "category_masks", "vertex_masks", "_memdim")
 
     def __init__(self, n, sets=()):
-        masks = []
-        for members in sets:
-            mask = 0
-            for v in members:
-                if not (0 <= v < n):
-                    raise ValidationError(f"category member {v} out of range for n={n}")
-                mask |= 1 << v
-            masks.append(mask)
-        self._setup(n, masks)
+        # operator.index turns bools and other int-likes into plain ints, and
+        # the tuples keep one-shot member iterables readable for the range
+        # check's message.
+        self._setup(n, _pairs(n, (tuple(map(index, members)) for members in sets)))
 
     @classmethod
     def from_masks(cls, n, masks):
         """Build from vertex bitmasks directly (must fit in n bits, none zero)."""
         self = cls.__new__(cls)
         limit = 1 << n
-        for mask in masks:
-            if mask >= limit or mask < 0:
-                raise ValidationError(f"category mask out of range for n={n}")
-        self._setup(n, list(masks))
+        unique = set(masks)
+        if unique and (min(unique) < 0 or max(unique) >= limit):
+            raise ValidationError(f"category mask out of range for n={n}")
+        self._setup(n, [(_members(mask), mask) for mask in unique])
         return self
 
-    def _setup(self, n, masks):
+    def _setup(self, n, pairs):
+        """Canonical order, member tuples, masks and the vertex-side transpose
+        from the ``(members, mask)`` pairs of distinct sets."""
         if n < 0:
             raise ValidationError("universe size must be non-negative")
-        if any(mask == 0 for mask in masks):
+        # Member tuples are distinct, so the sort never compares masks, and
+        # an empty set, if any, sorts first.
+        pairs.sort()
+        if pairs and not pairs[0][0]:
             raise ValidationError("empty categories are not allowed")
-        unique = sorted({(tuple(iter_bits(m)), m) for m in masks})
         self.n = n
-        self.categories = tuple(members for members, _ in unique)
-        self.category_masks = tuple(mask for _, mask in unique)
-        vertex_masks = [0] * n
-        for i, mask in enumerate(self.category_masks):
-            bit = 1 << i
-            for v in iter_bits(mask):
-                vertex_masks[v] |= bit
-        self.vertex_masks = tuple(vertex_masks)
-        self._memdim = max((vm.bit_count() for vm in vertex_masks), default=0)
+        self.categories = tuple(members for members, _ in pairs)
+        self.category_masks = tuple(mask for _, mask in pairs)
+        rows = [bytearray((len(pairs) + 7) >> 3) for _ in range(n)]
+        for i, members in enumerate(self.categories):
+            byte = i >> 3
+            bit = 1 << (i & 7)
+            for v in members:
+                rows[v][byte] |= bit
+        # Popped from the back, each row is freed once its int is made.
+        rows.reverse()
+        self.vertex_masks = tuple([int.from_bytes(rows.pop(), "little") for _ in range(n)])
+        self._memdim = max(map(int.bit_count, self.vertex_masks), default=0)
 
     @property
     def num_categories(self):
@@ -138,14 +184,15 @@ def parse_categories(text, n):
     if not isinstance(sets, list):
         raise ParseError('"categories" must be a list of member lists')
     for members in sets:
-        if not isinstance(members, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in members
-        ):
+        # JSON numbers decode to exactly int or float; bools are their own type.
+        if not isinstance(members, list) or not set(map(type, members)) <= {int}:
             raise ParseError("each category must be a list of integer vertex ids")
-    return CategorySystem(n, sets)
+    system = CategorySystem.__new__(CategorySystem)
+    system._setup(n, _pairs(n, sets))
+    return system
 
 
 def serialize_categories(system):
     """Canonical JSON form; parse -> serialize -> parse is the identity."""
-    payload = {"n": system.n, "categories": [list(c) for c in system.categories]}
+    payload = {"n": system.n, "categories": system.categories}
     return json.dumps(payload, separators=(",", ":")) + "\n"

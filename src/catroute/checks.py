@@ -90,25 +90,25 @@ def is_shattered(g, system):
     category with t that excludes s?
 
     The neighbor may be t itself. The witness is the first failing pair in
-    lexicographic order.
+    lexicographic order. The check runs by category: the sources a category
+    C can witness for any target in C are the vertices outside C with a
+    neighbor inside C, so one pass over C's members gathers that set from
+    their neighbor masks and a second adds it to each member's covered
+    sources. No vertex's category mask is walked.
     """
     _check_universe(g, system)
     n = g.n
     full = (1 << n) - 1
-    # For category C, the sources it can witness for any target in C are the
-    # vertices outside C with a neighbor inside C.
-    witnessable = []
+    neighbor_masks = g.neighbor_masks
+    covered_by_target = [0] * n
     for mask, members in zip(system.category_masks, system.categories):
         reach = 0
         for v in members:
-            reach |= g.neighbor_masks[v]
-        witnessable.append(reach & ~mask)
-    covered_by_target = []
-    for t in range(n):
-        good = 0
-        for i in iter_bits(system.vertex_masks[t]):
-            good |= witnessable[i]
-        covered_by_target.append(good)
+            reach |= neighbor_masks[v]
+        reach &= ~mask
+        if reach:
+            for t in members:
+                covered_by_target[t] |= reach
     failing = [full & ~covered & ~(1 << t) for t, covered in enumerate(covered_by_target)]
     if not any(failing):
         return PropertyReport(SHATTERED, True)

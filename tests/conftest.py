@@ -97,6 +97,21 @@ def oracle_membership_dimension(system):
     return max(len(oracle_cat(system, u)) for u in range(system.n))
 
 
+def oracle_canonical(n, sets):
+    """Canonical form of raw member lists, re-derived set by set: the distinct
+    sets as sorted member tuples in lexicographic order, each one's vertex
+    mask, each vertex's category mask built by one OR per membership, and the
+    membership dimension."""
+    categories = sorted({tuple(sorted(set(members))) for members in sets})
+    category_masks = [sum(1 << v for v in members) for members in categories]
+    vertex_masks = [0] * n
+    for i, members in enumerate(categories):
+        for v in members:
+            vertex_masks[v] |= 1 << i
+    memdim = max((bin(mask).count("1") for mask in vertex_masks), default=0)
+    return tuple(categories), tuple(category_masks), tuple(vertex_masks), memdim
+
+
 def oracle_shattered(g, system):
     """Direct quantifier sweep over the definition; returns first failing pair."""
     sets = oracle_sets(system)

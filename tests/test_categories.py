@@ -1,13 +1,19 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catroute import (
     CategorySystem,
+    GeneratorSpec,
     ParseError,
     ValidationError,
     cat,
     category_distance,
+    generate,
+    graph_categories,
     membership_dimension,
     parse_categories,
     serialize_categories,
@@ -15,6 +21,7 @@ from catroute import (
 from catroute.fixtures import counterexample_cycle
 
 from conftest import (
+    oracle_canonical,
     oracle_cat,
     oracle_distance,
     oracle_membership_dimension,
@@ -116,6 +123,42 @@ class TestConstruction:
         s = CategorySystem(3, [(2,), (0, 2), (0, 1, 2), (0, 1)])
         assert s.categories == ((0, 1), (0, 1, 2), (0, 2), (2,))
 
+    def test_negative_universe_rejected(self):
+        with pytest.raises(ValidationError, match="universe size must be non-negative"):
+            CategorySystem(-1, [])
+
+    def test_empty_mask_rejected(self):
+        with pytest.raises(ValidationError, match="empty categories are not allowed"):
+            CategorySystem.from_masks(3, [1, 0])
+
+    def test_out_of_range_names_first_offending_member_in_input_order(self):
+        # Sorted, -2 would come first; in input order 9 does.
+        with pytest.raises(ValidationError, match=r"^category member 9 out of range for n=5$"):
+            CategorySystem(5, [(0, 1), (4, 9, -2, 7)])
+        # The first offending set wins, even where an empty set comes earlier.
+        with pytest.raises(ValidationError, match=r"^category member 6 out of range for n=5$"):
+            CategorySystem(5, [(), (6,), (7,)])
+
+    def test_out_of_range_message_from_one_shot_members(self):
+        with pytest.raises(ValidationError, match=r"^category member 8 out of range for n=3$"):
+            CategorySystem(3, [iter([2, 8, -1])])
+
+    def test_bool_members_become_plain_ints(self):
+        s = CategorySystem(2, [(True, 1, False)])
+        assert s.categories == ((0, 1),)
+        assert all(type(v) is int for v in s.categories[0])
+
+    def test_from_masks_reads_a_one_shot_iterable(self):
+        s = CategorySystem.from_masks(3, (m for m in [1, 3, 6]))
+        assert s.num_categories == 3
+        assert s == CategorySystem.from_masks(3, [1, 3, 6])
+        assert s.categories == ((0,), (0, 1), (1, 2))
+
+    def test_from_masks_out_of_range(self):
+        for masks in ([1, 8], [-1]):
+            with pytest.raises(ValidationError, match=r"^category mask out of range for n=3$"):
+                CategorySystem.from_masks(3, masks)
+
     def test_membership_index_matches_categories(self):
         s = CategorySystem(6, SIX_ELEMENT_SETS)
         for v in range(6):
@@ -149,11 +192,28 @@ class TestParseAndSerialize:
         with pytest.raises(ParseError):
             parse_categories("{not json", 3)
 
+    @pytest.mark.parametrize("member", ["true", "1.0", '"1"', "null", "[1]"])
+    def test_non_integer_member_rejected(self, member):
+        with pytest.raises(ParseError, match="each category must be a list of integer vertex ids"):
+            parse_categories(f'{{"n":3,"categories":[[0],[2,{member}]]}}', 3)
+
+    def test_member_type_checked_before_range(self):
+        with pytest.raises(ParseError):
+            parse_categories('{"n":3,"categories":[[7],[true]]}', 3)
+
+    def test_out_of_range_names_first_offending_member_in_input_order(self):
+        with pytest.raises(ValidationError, match=r"^category member 7 out of range for n=5$"):
+            parse_categories('{"n":5,"categories":[[0],[3,7,-1,9]]}', 5)
+
     def test_wrong_shape(self):
         with pytest.raises(ParseError):
             parse_categories('{"n":3}', 3)
         with pytest.raises(ParseError):
             parse_categories('{"n":3,"categories":[["a"]]}', 3)
+
+    def test_serialized_bytes(self):
+        s = CategorySystem(300, [(299, 0), (257, 1, 1), (5,), (0, 299)])
+        assert serialize_categories(s) == '{"n":300,"categories":[[0,299],[1,257],[5]]}\n'
 
     def test_roundtrip_is_identity_on_canonical_form(self):
         s = CategorySystem(5, [(4, 0), (1,), (2, 3, 4)])
@@ -205,3 +265,75 @@ def test_adding_a_present_category_changes_nothing(pair):
 def test_serialize_parse_roundtrip(pair):
     n, s = pair
     assert parse_categories(serialize_categories(s), n) == s
+
+
+def _row_list_json(system):
+    """The serialized form with every row copied into a list."""
+    payload = {"n": system.n, "categories": [list(c) for c in system.categories]}
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+@st.composite
+def _raw_sets(draw):
+    """Raw member lists: unordered, with repeated members and repeated sets,
+    over universes of 0 or 1 vertices, small ones, and ones with ids above
+    256 (where ints stop being cached), plus a few dense runs of ids."""
+    n = draw(st.one_of(st.integers(0, 1), st.integers(2, 40), st.integers(250, 700)))
+    if n == 0:
+        return n, []
+    member = st.integers(0, n - 1)
+    sets = draw(st.lists(st.lists(member, min_size=1, max_size=10), max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(member)
+        sets.append(list(range(start, draw(st.integers(start + 1, n)))))
+    if sets:
+        for members in draw(st.lists(st.sampled_from(sets), max_size=4)):
+            sets.append(members[::-1] + members)
+    return n, draw(st.permutations(sets))
+
+
+def _assert_matches_oracle(system, n, expected):
+    categories, category_masks, vertex_masks, memdim = expected
+    assert system.n == n
+    assert system.categories == categories
+    assert all(type(v) is int for members in system.categories for v in members)
+    assert system.category_masks == category_masks
+    assert system.vertex_masks == vertex_masks
+    assert membership_dimension(system) == memdim
+
+
+@settings(max_examples=150, deadline=None)
+@given(_raw_sets())
+def test_constructors_match_canonical_oracle(raw):
+    n, sets = raw
+    expected = oracle_canonical(n, sets)
+    _assert_matches_oracle(CategorySystem(n, sets), n, expected)
+    masks = [sum(1 << v for v in set(members)) for members in sets]
+    _assert_matches_oracle(CategorySystem.from_masks(n, masks), n, expected)
+    _assert_matches_oracle(CategorySystem.from_masks(n, iter(masks)), n, expected)
+    parsed = parse_categories(json.dumps({"n": n, "categories": sets}), n)
+    _assert_matches_oracle(parsed, n, expected)
+    assert serialize_categories(parsed) == _row_list_json(parsed)
+
+
+# SHA-256 of serialize_categories(graph_categories(g)) for one seeded graph
+# per generator family: (family, n, seed, params, digest). Any change to the
+# canonical bytes fails here.
+GOLDEN_BYTES = (
+    ("gnp-connected", 60, 100, {"p": 0.1}, "41ef0b39c2989eb0dd54592ba0f2140cb500b3153b8dfc8d9d1ab0f91fe7e89d"),
+    ("random-tree", 60, 101, {}, "6825bcd94264d66ab860b93d3599ffcb3a551f1b0cb745bec26ae60fff75f69e"),
+    ("path", 60, 102, {}, "d6256e53eabcbeba8b9b9debfe0e91124ec04ef955f6964fcdffcd91ed95e9b9"),
+    ("cycle", 60, 103, {}, "299096bda27c92593a5f1cef77345bbec375e7ad5d838ff587456b8370364188"),
+    ("grid", 60, 104, {}, "df5fae75df7c6710eaf89257173966d08439a9297c813930569995c1eae122d3"),
+    ("star", 60, 105, {}, "bc8e568fca5731fef48665971d164c16d654d135708f03aee5dbf4e92ac52168"),
+    ("complete", 16, 106, {}, "f72b5106ef10a5e61fd92daa54590ac9db0bb4c16370e50a082cca3c1e91f619"),
+    ("watts-strogatz", 60, 107, {}, "3186305e654bb62e4cdb2ebf886541c306cbf1b04f6f6b92631710637ede3047"),
+)
+
+
+@pytest.mark.parametrize("family, n, seed, params, digest", GOLDEN_BYTES, ids=[row[0] for row in GOLDEN_BYTES])
+def test_canonical_bytes_are_pinned(family, n, seed, params, digest):
+    system = graph_categories(generate(GeneratorSpec(family, n, seed, params)))
+    text = serialize_categories(system)
+    assert text == _row_list_json(system)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -259,6 +259,34 @@ def test_internal_connectivity_on_hubs_matches_definition_oracle(pair):
     assert report.holds == (report.witness is None)
 
 
+def _tree_construction_instances():
+    """Stars and hub-skewed trees with the tree construction's sets, shattered
+    as built, with some sets dropped so the verdict can fail."""
+
+    def build(star, n, seed, drop):
+        rng = seeded(seed)
+        tree = RootedTree([None] + [0] * (n - 1), 0) if star else random_tree(rng, n, "hub")
+        sets = [members for members in tree_categories(tree).categories if rng.random() >= drop]
+        return tree.graph, CategorySystem(n, sets)
+
+    return st.builds(
+        build,
+        st.booleans(),
+        st.integers(min_value=2, max_value=28),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([0.0, 0.02, 0.1, 0.4]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tree_construction_instances())
+def test_shattered_on_tree_constructions_matches_definition_oracle(pair):
+    g, s = pair
+    report = is_shattered(g, s)
+    assert report.witness == oracle_shattered(g, s)
+    assert report.holds == (report.witness is None)
+
+
 def _assert_sweep_matches_walk_oracle(g, s):
     witness, max_hops, mean_hops = oracle_all_pairs_routing(g, s)
     report, got_max, got_mean = route_statistics(g, s)
