@@ -47,6 +47,11 @@ def _members(mask):
     return tuple([8 * j + i for j in compress(count(), data) for i in _BYTE_BITS[data[j]]])
 
 
+def _check_size(n):
+    if n < 0:
+        raise ValidationError("universe size must be non-negative")
+
+
 def _pairs(n, sets):
     """``(members, mask)`` of each distinct input set, members ascending.
 
@@ -89,6 +94,7 @@ class CategorySystem:
     @classmethod
     def from_masks(cls, n, masks):
         """Build from vertex bitmasks directly (must fit in n bits, none zero)."""
+        _check_size(n)
         self = cls.__new__(cls)
         limit = 1 << n
         unique = set(masks)
@@ -100,8 +106,7 @@ class CategorySystem:
     def _setup(self, n, pairs):
         """Canonical order, member tuples, masks and the vertex-side transpose
         from the ``(members, mask)`` pairs of distinct sets."""
-        if n < 0:
-            raise ValidationError("universe size must be non-negative")
+        _check_size(n)
         # Member tuples are distinct, so the sort never compares masks, and
         # an empty set, if any, sorts first.
         pairs.sort()

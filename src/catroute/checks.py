@@ -126,12 +126,12 @@ def _forest(adjacency, vertex_masks, t):
     Returns ``(dist, nxt, depth)``: the category distance of each vertex to
     ``t``, its next hop toward ``t`` (None where it is stuck, and at ``t``),
     and its hop count to ``t`` (-1 where its route gets stuck). The step rule
-    is that of ``greedy_step``: strictly closer, then minimum distance, then
-    smallest id; adjacency is sorted, so ``min`` keeps the smallest id among
-    ties. A next hop is strictly closer to ``t``, so the next hops form a
-    forest whose roots are ``t`` and the stuck vertices, and visiting vertices
-    in increasing distance reaches every next hop before the vertices that
-    forward to it.
+    is the one ``routing._step`` applies to a single message, read here off
+    precomputed distances; adjacency is sorted, so ``min`` keeps the smallest
+    id among ties. A next hop is strictly closer to ``t``, so the next hops
+    form a forest whose roots are ``t`` and the stuck vertices, and visiting
+    vertices in increasing distance reaches every next hop before the
+    vertices that forward to it.
     """
     vt = vertex_masks[t]
     dist = [(vt & ~m).bit_count() for m in vertex_masks]

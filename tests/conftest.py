@@ -132,21 +132,28 @@ def oracle_shattered(g, system):
     return None
 
 
+def oracle_greedy_step(g, system, u, t):
+    """The neighbor of u strictly closer to t at minimum distance, smallest id
+    among ties, or None; every distance taken from the definition."""
+    here = oracle_distance(system, u, t)
+    closer = [
+        (oracle_distance(system, v, t), v)
+        for v in g.adjacency[u]
+        if oracle_distance(system, v, t) < here
+    ]
+    return min(closer)[1] if closer else None
+
+
 def oracle_greedy_walk(g, system, s, t):
     """Forward one message from s by the greedy rule, every distance taken from
     the definition; returns (delivered, hops, last vertex)."""
     current = s
     hops = 0
     while current != t:
-        here = oracle_distance(system, current, t)
-        closer = [
-            (oracle_distance(system, v, t), v)
-            for v in g.adjacency[current]
-            if oracle_distance(system, v, t) < here
-        ]
-        if not closer:
+        nxt = oracle_greedy_step(g, system, current, t)
+        if nxt is None:
             return False, hops, current
-        current = min(closer)[1]
+        current = nxt
         hops += 1
     return True, hops, current
 

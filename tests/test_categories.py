@@ -126,6 +126,8 @@ class TestConstruction:
     def test_negative_universe_rejected(self):
         with pytest.raises(ValidationError, match="universe size must be non-negative"):
             CategorySystem(-1, [])
+        with pytest.raises(ValidationError, match="universe size must be non-negative"):
+            CategorySystem.from_masks(-1, [])
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValidationError, match="empty categories are not allowed"):

@@ -6,20 +6,26 @@ from catroute import (
     CategorySystem,
     Graph,
     InternalCheckError,
+    RootedTree,
     ValidationError,
     category_distance,
     format_trace,
     greedy_route,
     greedy_step,
     membership_dimension,
+    tree_categories,
 )
 from catroute.fixtures import counterexample_cycle
 
 from conftest import (
     oracle_cat,
+    oracle_distance,
+    oracle_greedy_step,
+    oracle_greedy_walk,
     path_graph,
     random_category_system,
     random_connected_graph,
+    random_tree,
     seeded,
 )
 
@@ -100,6 +106,30 @@ class TestGreedyRoute:
             greedy_route(PATH3, CategorySystem(5, [(0,)]), 0, 2)
 
 
+class TestVerticesWithoutNeighbors:
+    def test_isolated_source_is_stuck(self):
+        g = Graph(2, [])
+        s = CategorySystem(2, [(0,), (1,)])
+        assert greedy_step(g, s, 0, 1) is None
+        trace = greedy_route(g, s, 0, 1)
+        assert not trace.delivered
+        assert trace.stuck_at == 0
+        assert trace.path == (0,)
+        assert trace.hop_distances == (1,)
+
+    def test_single_vertex_delivers_to_itself(self):
+        g = Graph(1)
+        s = CategorySystem(1, [(0,)])
+        trace = greedy_route(g, s, 0, 0)
+        assert trace.delivered
+        assert trace.path == (0,)
+        assert trace.hop_distances == (0,)
+        with pytest.raises(ValidationError):
+            greedy_step(g, s, 0, 0)
+        with pytest.raises(ValidationError):
+            greedy_step(g, s, 0, 1)
+
+
 class TestFormatTrace:
     def test_delivered_rendering(self):
         trace = greedy_route(TINY_TREE, TINY_TREE_SETS, 1, 2)
@@ -145,3 +175,49 @@ def test_route_invariants_hold_on_arbitrary_systems(pair, data):
         assert trace.hop_distances[-1] == 0
     else:
         assert trace.stuck_at == trace.path[-1]
+
+
+def _differential_instances():
+    """Random connected graphs with random systems, where ties and stuck
+    routes are common; and stars and hub-skewed trees with the tree
+    construction's sets, some dropped so routes can get stuck, plus a few
+    random sets."""
+
+    def arbitrary(n, seed):
+        return random_connected_graph(seeded(seed), n), random_category_system(seeded(seed + 1), n)
+
+    def hub(star, n, seed, drop):
+        rng = seeded(seed)
+        tree = RootedTree([None] + [0] * (n - 1), 0) if star else random_tree(rng, n, "hub")
+        sets = [members for members in tree_categories(tree).categories if rng.random() >= drop]
+        sets += [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(0, 2))]
+        return tree.graph, CategorySystem(n, sets)
+
+    return st.one_of(
+        st.builds(
+            arbitrary,
+            st.integers(min_value=1, max_value=14),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        st.builds(
+            hub,
+            st.booleans(),
+            st.integers(min_value=2, max_value=14),
+            st.integers(min_value=0, max_value=10_000),
+            st.sampled_from([0.0, 0.1, 0.4]),
+        ),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_differential_instances())
+def test_every_pair_matches_the_definition_walk(pair):
+    g, s = pair
+    for source in range(g.n):
+        for target in range(g.n):
+            trace = greedy_route(g, s, source, target)
+            walk = oracle_greedy_walk(g, s, source, target)
+            assert (trace.delivered, trace.hops, trace.path[-1]) == walk
+            assert trace.hop_distances == tuple(oracle_distance(s, v, target) for v in trace.path)
+            if source != target:
+                assert greedy_step(g, s, source, target) == oracle_greedy_step(g, s, source, target)
