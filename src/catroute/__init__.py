@@ -27,6 +27,7 @@ from .checks import (
 )
 from .construct import (
     binary_tree_categories,
+    construct_categories,
     embed_into_binary,
     graph_categories,
     impossibility_pair,
@@ -84,6 +85,7 @@ __all__ = [
     "category_distance",
     "check_implications",
     "choose_root",
+    "construct_categories",
     "counterexample_cycle",
     "diameter",
     "eccentricity",

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .categories import iter_bits
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError
 from .graph import is_tree
-from .routing import RouteTrace, greedy_route
+from .routing import RouteTrace, _check_universe, greedy_route
 
 INTERNALLY_CONNECTED = "internally-connected"
 SHATTERED = "shattered"
@@ -32,11 +32,6 @@ class PropertyReport:
     property_name: str
     holds: bool
     witness: object = None
-
-
-def _check_universe(g, system):
-    if system.n != g.n:
-        raise ValidationError(f"category system is over n={system.n}, graph has n={g.n}")
 
 
 # Above this degree a popped vertex finds its unseen in-category neighbours
@@ -110,45 +105,43 @@ def is_shattered(g, system):
             for t in members:
                 covered_by_target[t] |= reach
     failing = [full & ~covered & ~(1 << t) for t, covered in enumerate(covered_by_target)]
-    if not any(failing):
+    # Each failing target paired with its smallest failing source (the lowest
+    # set bit); the least of these pairs is the first in lexicographic order.
+    pairs = [((f & -f).bit_length() - 1, t) for t, f in enumerate(failing) if f]
+    if not pairs:
         return PropertyReport(SHATTERED, True)
-    for s in range(n):
-        bit = 1 << s
-        for t in range(n):
-            if t != s and failing[t] & bit:
-                return PropertyReport(SHATTERED, False, (s, t))
-    raise InternalCheckError("failing mask was non-empty but no witness pair found")
+    return PropertyReport(SHATTERED, False, min(pairs))
 
 
 def _forest(adjacency, vertex_masks, t):
     """Greedy forwarding toward ``t`` from every vertex at once.
 
-    Returns ``(dist, nxt, depth)``: the category distance of each vertex to
-    ``t``, its next hop toward ``t`` (None where it is stuck, and at ``t``),
-    and its hop count to ``t`` (-1 where its route gets stuck). The step rule
-    is the one ``routing._step`` applies to a single message, read here off
-    precomputed distances; adjacency is sorted, so ``min`` keeps the smallest
-    id among ties. A next hop is strictly closer to ``t``, so the next hops
-    form a forest whose roots are ``t`` and the stuck vertices, and visiting
-    vertices in increasing distance reaches every next hop before the
-    vertices that forward to it.
+    Returns ``(shared, nxt, depth)``: how many of ``t``'s categories each
+    vertex holds (its distance to ``t`` is ``shared[t] - shared[v]``), its
+    next hop toward ``t`` (None where it is stuck, and at ``t``), and its hop
+    count to ``t`` (-1 where its route gets stuck). The step rule is
+    ``routing._step``'s, read off precomputed counts; adjacency is sorted, so
+    ``max`` keeps the smallest id among ties. A next hop shares strictly more,
+    so the next hops form a forest whose roots are ``t`` and the stuck
+    vertices, and visiting vertices in decreasing shared count reaches every
+    next hop before the vertices that forward to it.
     """
     vt = vertex_masks[t]
-    dist = [(vt & ~m).bit_count() for m in vertex_masks]
-    at = dist.__getitem__
-    n = len(dist)
+    shared = [(vt & m).bit_count() for m in vertex_masks]
+    at = shared.__getitem__
+    n = len(shared)
     nxt = [None] * n
     depth = [-1] * n
     depth[t] = 0
-    for u in sorted(range(n), key=at):
+    for u in sorted(range(n), key=at, reverse=True):
         neighbors = adjacency[u]
         if neighbors:
-            v = min(neighbors, key=at)
-            if dist[v] < dist[u]:
+            v = max(neighbors, key=at)
+            if shared[v] > shared[u]:
                 nxt[u] = v
                 if depth[v] >= 0:
                     depth[u] = depth[v] + 1
-    return dist, nxt, depth
+    return shared, nxt, depth
 
 
 def iter_all_pair_routes(g, system):
@@ -163,7 +156,8 @@ def iter_all_pair_routes(g, system):
     adjacency = g.adjacency
     vm = system.vertex_masks
     for t in range(g.n):
-        dist, nxt, _ = _forest(adjacency, vm, t)
+        shared, nxt, _ = _forest(adjacency, vm, t)
+        dist = [shared[t] - s for s in shared]
         for source in range(g.n):
             if source == t:
                 continue

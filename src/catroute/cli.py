@@ -21,17 +21,10 @@ from .checks import (
     is_shattered,
     verify_all_pairs_routing,
 )
-from .construct import binary_tree_categories, graph_categories, path_categories
+from .construct import METHODS, construct_categories
 from .errors import GenerationError, InternalCheckError, ParseError, ValidationError
 from .fixtures import run_fixtures
-from .graph import (
-    bfs_spanning_tree,
-    choose_root,
-    diameter,
-    is_path,
-    is_tree,
-    parse_edge_list,
-)
+from .graph import diameter, parse_edge_list
 from .routing import format_trace, greedy_route
 
 
@@ -51,7 +44,7 @@ def build_parser():
     p.add_argument(
         "--method",
         default="auto",
-        choices=("auto", "path", "binary-tree", "tree", "graph"),
+        choices=METHODS,
         help="construction to use; auto picks the most specific applicable",
     )
     p.add_argument("--out", help="write the category JSON here (default: stdout)")
@@ -95,20 +88,7 @@ def _load_categories(path, n):
 
 
 def _construct(args):
-    g = _load_graph(args.graph)
-    method = args.method
-    if method == "auto":
-        # On a tree, the graph construction is the tree construction.
-        method = "path" if is_path(g) else "graph"
-    if method in ("binary-tree", "tree") and not is_tree(g):
-        raise ValidationError(f"{method} construction needs a tree")
-    if method == "path":
-        system = path_categories(g)
-    elif method == "binary-tree":
-        system = binary_tree_categories(bfs_spanning_tree(g, choose_root(g, max_degree=2)))
-    else:
-        system = graph_categories(g)
-    text = serialize_categories(system)
+    text = serialize_categories(construct_categories(_load_graph(args.graph), args.method))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

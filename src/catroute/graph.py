@@ -278,12 +278,12 @@ def choose_root(g, max_degree=None):
 class RootedTree:
     """A tree with a distinguished root and derived per-vertex structure.
 
-    ``parent[root]`` is None; ``children`` lists are sorted; ``depth`` counts
-    hops from the root; ``height`` is the longest downward path length;
-    ``order`` lists the vertices top-down in BFS order, root first.
+    ``parent[root]`` is None; ``children`` lists are sorted; ``height`` is the
+    longest downward path length; ``order`` lists the vertices top-down in BFS
+    order, root first.
     """
 
-    __slots__ = ("graph", "root", "parent", "children", "depth", "height", "order")
+    __slots__ = ("root", "parent", "children", "height", "order")
 
     def __init__(self, parent, root):
         parent = list(parent)
@@ -299,16 +299,9 @@ class RootedTree:
             if p is None or not (0 <= p < n):
                 raise ValidationError(f"vertex {v} has invalid parent {p}")
             children[p].append(v)
-        depth = [None] * n
-        depth[root] = 0
         order = [root]
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for c in children[u]:
-                depth[c] = depth[u] + 1
-                order.append(c)
-                queue.append(c)
+        for u in order:
+            order.extend(children[u])
         if len(order) != n:
             raise ValidationError("parent array does not form a tree on all vertices")
         height = [0] * n
@@ -318,14 +311,17 @@ class RootedTree:
         self.root = root
         self.parent = tuple(parent)
         self.children = tuple(tuple(c) for c in children)
-        self.depth = tuple(depth)
         self.height = tuple(height)
         self.order = tuple(order)
-        self.graph = Graph(n, ((v, p) for v, p in enumerate(parent) if p is not None))
 
     @property
     def n(self):
         return len(self.parent)
+
+    @property
+    def graph(self):
+        """The tree's edges as a ``Graph``, built anew on each access."""
+        return Graph(self.n, ((v, p) for v, p in enumerate(self.parent) if p is not None))
 
     def __repr__(self):
         return f"RootedTree(n={self.n}, root={self.root})"

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .categories import membership_dimension
-from .errors import InternalCheckError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -44,9 +43,13 @@ class RouteTrace:
         return len(self.path) - 1
 
 
-def _check_pair(g, system, u, t):
+def _check_universe(g, system):
     if system.n != g.n:
         raise ValidationError(f"category system is over n={system.n}, graph has n={g.n}")
+
+
+def _check_pair(g, system, u, t):
+    _check_universe(g, system)
     if not (0 <= u < g.n and 0 <= t < g.n):
         raise ValidationError(f"vertex out of range for n={g.n}")
 
@@ -78,17 +81,15 @@ def greedy_step(g, system, u, t):
     return _step(g.adjacency[u], vm, vt, (vt & vm[u]).bit_count())[0]
 
 
-def greedy_route(g, system, source, target, max_hops=None):
+def greedy_route(g, system, source, target):
     """Forward greedily from ``source`` until ``target`` is reached or no
     neighbor improves, returning the full trace.
 
-    Strict distance decrease already bounds the hop count by the initial
-    distance; ``max_hops`` (default: membership dimension + 1) is only a
-    defensive cap whose violation means the distance function is broken.
+    No hop cap is needed: each hop goes to a neighbor sharing strictly more of
+    the target's categories, a count that never exceeds |cat(t)| <= memdim,
+    so a route ends within d(source, target) hops.
     """
     _check_pair(g, system, source, target)
-    if max_hops is None:
-        max_hops = membership_dimension(system) + 1
     adjacency = g.adjacency
     vm = system.vertex_masks
     vt = vm[target]
@@ -103,8 +104,6 @@ def greedy_route(g, system, source, target, max_hops=None):
             return RouteTrace(source, target, tuple(path), tuple(hop_distances), False)
         path.append(current)
         hop_distances.append(total - shared)
-        if len(path) - 1 > max_hops:
-            raise InternalCheckError(f"route exceeded {max_hops} hops; distance is broken")
     return RouteTrace(source, target, tuple(path), tuple(hop_distances), True)
 
 

@@ -59,6 +59,16 @@ class TestConstruct:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["tree", "binary-tree"])
+    def test_tree_method_on_non_tree_is_usage_error(self, tmp_path, capsys, method):
+        graph_file = tmp_path / "c.edges"
+        graph_file.write_text(COUNTER_EDGES)
+        code = main(["construct", "--graph", str(graph_file), "--method", method])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {method} construction needs a tree\n"
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["construct", "--graph", "/nonexistent.edges"]) == 2
 

@@ -9,8 +9,11 @@ from catroute import (
     Graph,
     RootedTree,
     ValidationError,
+    bfs_distances,
     binary_tree_categories,
     bfs_spanning_tree,
+    choose_root,
+    construct_categories,
     diameter,
     embed_into_binary,
     graph_categories,
@@ -23,6 +26,7 @@ from catroute import (
     tree_categories,
     verify_all_pairs_routing,
 )
+from catroute.construct import METHODS
 
 from conftest import (
     complete_graph,
@@ -127,8 +131,9 @@ class TestEmbedIntoBinary:
         b = emb.tree
         assert b.n == 7  # 5 originals + 2 placeholders
         assert set(b.children[0]) == {5, 6}
+        depth = bfs_distances(b.graph, b.root)
         for leaf in (1, 2, 3, 4):
-            assert b.depth[leaf] == 2
+            assert depth[leaf] == 2
         assert emb.nearest_original[5] == 0 and emb.nearest_original[6] == 0
 
     def test_already_binary_is_identity(self):
@@ -151,7 +156,7 @@ class TestEmbedIntoBinary:
         tree = RootedTree(parents, 0)
         emb = embed_into_binary(tree)
         b = emb.tree
-        assert b.depth[3] <= 2
+        assert bfs_distances(b.graph, b.root)[3] <= 2
 
     def test_origin_mapping_is_injective_identity(self):
         rng = seeded(5)
@@ -232,6 +237,65 @@ class TestGraphCategories:
     def test_disconnected_input_rejected(self):
         with pytest.raises(ValidationError):
             graph_categories(Graph(3, [(0, 1)]))
+
+
+# The builder calls each method of construct_categories stands for.
+BUILDERS = {
+    "path": path_categories,
+    "binary-tree": lambda g: binary_tree_categories(
+        bfs_spanning_tree(g, choose_root(g, max_degree=2))
+    ),
+    "tree": lambda g: tree_categories(bfs_spanning_tree(g, choose_root(g))),
+    "graph": graph_categories,
+}
+
+HUB_TREE = random_tree(seeded(41), 30, skew="hub").graph
+DISPATCH_CASES = [
+    ("auto", path_graph(6), "path"),
+    ("auto", HUB_TREE, "graph"),
+    ("auto", cycle_graph(5), "graph"),
+    ("path", path_graph(6), "path"),
+    ("binary-tree", path_graph(6), "binary-tree"),
+    ("binary-tree", Graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]), "binary-tree"),
+    # The center has three neighbours, so the root is a leaf.
+    ("binary-tree", star_graph(4), "binary-tree"),
+    ("tree", HUB_TREE, "tree"),
+    ("tree", path_graph(6), "tree"),
+    ("graph", cycle_graph(5), "graph"),
+    ("graph", complete_graph(4), "graph"),
+    ("graph", HUB_TREE, "graph"),
+]
+
+
+class TestConstructCategories:
+    def test_every_method_has_a_dispatch_case(self):
+        assert {method for method, _, _ in DISPATCH_CASES} == set(METHODS)
+
+    @pytest.mark.parametrize("method, g, builder", DISPATCH_CASES)
+    def test_method_runs_its_builder(self, method, g, builder):
+        assert construct_categories(g, method) == BUILDERS[builder](g)
+
+    def test_auto_is_the_default(self):
+        for g in (path_graph(6), HUB_TREE, cycle_graph(5)):
+            assert construct_categories(g) == construct_categories(g, "auto")
+
+    @pytest.mark.parametrize("method", ["tree", "binary-tree"])
+    def test_tree_methods_reject_a_cycle(self, method):
+        with pytest.raises(ValidationError, match=f"^{method} construction needs a tree$"):
+            construct_categories(cycle_graph(5), method)
+
+    def test_binary_tree_rejects_a_vertex_with_three_children(self):
+        # Rooted at a leaf, the star's hub keeps three children.
+        with pytest.raises(ValidationError, match="more than two children"):
+            construct_categories(star_graph(5), "binary-tree")
+
+    def test_path_rejects_a_non_path(self):
+        with pytest.raises(ValidationError, match="not a path"):
+            construct_categories(cycle_graph(5), "path")
+
+    def test_unknown_method(self):
+        with pytest.raises(ValidationError, match="unknown construction method 'cycle'"):
+            construct_categories(path_graph(3), "cycle")
 
 
 class TestImpossibilityPair:

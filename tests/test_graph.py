@@ -189,7 +189,7 @@ class TestBfsSpanningTree:
 
     def test_depth_and_height_bookkeeping(self):
         tree = bfs_spanning_tree(cycle_graph(4), 0)
-        assert tree.depth == (0, 1, 2, 1)
+        assert bfs_distances(tree.graph, tree.root) == [0, 1, 2, 1]
         assert tree.height == (2, 1, 0, 0)
         assert tree.children == ((1, 3), (2,), (), ())
 
@@ -241,7 +241,7 @@ def _graphs():
 def test_spanning_tree_depth_matches_bfs_distance(g, pick):
     root = pick % g.n
     tree = bfs_spanning_tree(g, root)
-    assert list(tree.depth) == bfs_distances(g, root)
+    assert bfs_distances(tree.graph, root) == bfs_distances(g, root)
 
 
 @settings(max_examples=40, deadline=None)

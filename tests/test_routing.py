@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from catroute import (
     CategorySystem,
     Graph,
-    InternalCheckError,
     RootedTree,
     ValidationError,
     category_distance,
@@ -92,10 +91,6 @@ class TestGreedyRoute:
         runs = {greedy_route(g, s, a, b) for a in range(4) for b in range(4)}
         again = {greedy_route(g, s, a, b) for a in range(4) for b in range(4)}
         assert runs == again
-
-    def test_defensive_cap_violation_is_internal(self):
-        with pytest.raises(InternalCheckError):
-            greedy_route(PATH3, PATH3_SETS, 0, 2, max_hops=1)
 
     def test_vertex_out_of_range(self):
         with pytest.raises(ValidationError):
