@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .categories import iter_bits
+from .categories import _members, iter_bits
 from .errors import InternalCheckError
 from .graph import is_tree
 from .routing import RouteTrace, _check_universe, greedy_route
@@ -34,47 +34,67 @@ class PropertyReport:
     witness: object = None
 
 
-# Above this degree a popped vertex finds its unseen in-category neighbours
-# with one mask AND. At or below it, testing each edge is faster: with the
-# mask form alone, the check ran about half as fast on paths, cycles and
-# random trees.
-_MASK_DEGREE = 8
+def _uncertified(g, vertex_masks):
+    """Mask of the categories with two or more top members on a BFS forest.
+
+    The forest grows each component from its smallest unvisited vertex, in
+    ascending id order. A vertex is a top member of a category it holds but
+    its forest parent does not (a root tops all of its categories). Each
+    member of a category walks up the forest inside the category until it
+    reaches a top member, so a category with exactly one top is connected on
+    the forest, and therefore on ``g``. One pass folds every vertex's tops
+    into ``once`` and ``twice`` with k-bit ANDs and ORs, k the number of
+    categories, whatever the number of memberships.
+    """
+    adjacency = g.adjacency
+    seen = bytearray(g.n)
+    once = twice = 0
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        top = vertex_masks[root]
+        twice |= once & top
+        once |= top
+        queue = [root]
+        for u in queue:
+            outside = ~vertex_masks[u]
+            for v in adjacency[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    queue.append(v)
+                    top = vertex_masks[v] & outside
+                    twice |= once & top
+                    once |= top
+    return twice
 
 
 def is_internally_connected(g, system):
     """Does every category induce a connected subgraph of ``g``?
 
     The witness is the index of the first category (in canonical order) whose
-    induced subgraph falls apart. Each category is searched from its smallest
-    member, keeping its unseen members as a mask. A popped vertex of degree at
-    most ``_MASK_DEGREE`` tests its edges one by one; one of higher degree
-    finds its unseen neighbours in the category with one n-bit AND. Per
-    category that is one bit test per edge of each low-degree member reached,
-    plus one AND per high-degree member, so what a hub costs a category does
-    not grow with its degree.
+    induced subgraph falls apart. The categories that ``_uncertified`` cannot
+    certify at once, those with two or more top members on one BFS spanning
+    forest, are then searched in ascending index order, each from its
+    smallest member with its unseen members kept as a mask: a popped vertex
+    finds its unseen neighbours in the category with one n-bit AND. The
+    certificate costs O(n + m) steps plus O(n) ANDs and ORs of k-bit ints; on
+    a tree, the forest is ``g`` itself, so only the disconnected categories
+    are searched.
     """
     _check_universe(g, system)
-    adjacency = g.adjacency
     neighbor_masks = g.neighbor_masks
-    bits = [1 << v for v in range(g.n)]
-    for index, mask in enumerate(system.category_masks):
-        start = system.categories[index][0]
-        unseen = mask ^ bits[start]
+    category_masks = system.category_masks
+    categories = system.categories
+    for index in _members(_uncertified(g, system.vertex_masks)):
+        start = categories[index][0]
+        unseen = category_masks[index] ^ (1 << start)
         stack = [start]
         while stack and unseen:
-            u = stack.pop()
-            neighbors = adjacency[u]
-            if len(neighbors) > _MASK_DEGREE:
-                found = neighbor_masks[u] & unseen
-                if found:
-                    unseen ^= found
-                    stack.extend(iter_bits(found))
-            else:
-                for v in neighbors:
-                    bit = bits[v]
-                    if unseen & bit:
-                        unseen ^= bit
-                        stack.append(v)
+            found = neighbor_masks[stack.pop()] & unseen
+            if found:
+                unseen ^= found
+                stack.extend(iter_bits(found))
         if unseen:
             return PropertyReport(INTERNALLY_CONNECTED, False, index)
     return PropertyReport(INTERNALLY_CONNECTED, True)

@@ -65,7 +65,10 @@ def build_parser():
         help="comma list from: internal, shattered, all-pairs",
     )
 
-    p = sub.add_parser("stats", help="print n, m, diam and (with --cats) memdim")
+    p = sub.add_parser(
+        "stats",
+        help="print n, m, diam and (with --cats) memdim, the vertex attaining it and its degree",
+    )
     p.add_argument("--graph", required=True)
     p.add_argument("--cats")
 
@@ -151,7 +154,11 @@ def _stats(args):
     print(f"diam={diameter(g)}")
     if args.cats:
         system = _load_categories(args.cats, g.n)
-        print(f"memdim={membership_dimension(system)}")
+        memdim = membership_dimension(system)
+        vertex = [m.bit_count() for m in system.vertex_masks].index(memdim)
+        print(f"memdim={memdim}")
+        print(f"memdim_vertex={vertex}")
+        print(f"memdim_degree={g.degree(vertex)}")
     return 0
 
 

@@ -11,6 +11,11 @@ from collections import deque
 
 from .errors import DisconnectedGraphError, ParseError, ValidationError
 
+# The most vertices ``parse_edge_list`` accepts. A ``Graph`` holds a set and
+# a neighbour mask per vertex, so a larger header or vertex id is refused
+# before anything of that size is built. Rebind it to change the cap.
+MAX_VERTICES = 1_000_000
+
 
 class Graph:
     """Immutable undirected simple graph.
@@ -79,10 +84,13 @@ def parse_edge_list(text):
     Lines hold ``u v`` integer pairs; blank lines and lines starting with
     ``#`` are ignored. An optional first effective line ``n <count>`` declares
     the vertex count; otherwise n is one more than the largest id seen.
-    Duplicate edges collapse; self-loops are rejected.
+    Duplicate edges collapse; self-loops are rejected. A vertex count above
+    ``MAX_VERTICES``, declared or implied by a vertex id, raises
+    ``ValidationError`` as soon as its line is read.
     """
     if hasattr(text, "read"):
         text = text.read()
+    cap = MAX_VERTICES
     declared_n = None
     edges = []
     max_id = -1
@@ -103,6 +111,10 @@ def parse_edge_list(text):
                 raise ParseError(f"bad vertex count {tokens[1]!r}", lineno) from None
             if declared_n < 0:
                 raise ParseError("vertex count must be non-negative", lineno)
+            if declared_n > cap:
+                raise ValidationError(
+                    f"line {lineno}: vertex count {declared_n} is above the cap of {cap}"
+                )
             seen_effective_line = True
             continue
         seen_effective_line = True
@@ -121,6 +133,10 @@ def parse_edge_list(text):
                 f"line {lineno}: vertex id exceeds declared count n={declared_n}"
             )
         max_id = max(max_id, u, v)
+        if max_id >= cap:
+            raise ValidationError(
+                f"line {lineno}: vertex id {max_id} needs more than the cap of {cap} vertices"
+            )
         edges.append((u, v))
     n = declared_n if declared_n is not None else max_id + 1
     return Graph(n, edges)

@@ -4,10 +4,13 @@ from hypothesis import strategies as st
 
 from catroute import (
     CategorySystem,
+    GeneratorSpec,
     Graph,
     RootedTree,
     check_implications,
     diameter,
+    generate,
+    graph_categories,
     greedy_route,
     is_internally_connected,
     is_shattered,
@@ -17,12 +20,18 @@ from catroute import (
     tree_categories,
     verify_all_pairs_routing,
 )
-from catroute.checks import _MASK_DEGREE, ALL_PAIRS_ROUTING, INTERNALLY_CONNECTED
+from catroute.checks import (
+    ALL_PAIRS_ROUTING,
+    INTERNALLY_CONNECTED,
+    PropertyReport,
+    _uncertified,
+)
 from catroute.errors import ValidationError
 from catroute.fixtures import counterexample_cycle
 from catroute.graph import bfs_spanning_tree
 
 from conftest import (
+    cycle_graph,
     oracle_all_pairs_routing,
     oracle_internally_connected,
     oracle_shattered,
@@ -224,10 +233,9 @@ def test_internal_connectivity_matches_definition_oracle(pair):
 
 
 def _hub_instances():
-    """Stars and hub-skewed trees whose hub has degree above the connectivity
-    check's mask switch, with the tree construction's sets (many hold the
-    hub), some of them with the hub taken out (they split apart), and a few
-    random sets."""
+    """Stars and hub-skewed trees whose hub has degree above 8, with the tree
+    construction's sets (many hold the hub), some of them with the hub taken
+    out (they split apart), and a few random sets."""
 
     def build(star, n, seed):
         rng = seeded(seed)
@@ -244,7 +252,7 @@ def _hub_instances():
     return st.builds(
         build,
         st.booleans(),
-        st.integers(min_value=2 * _MASK_DEGREE, max_value=80),
+        st.integers(min_value=2 * 8, max_value=80),
         st.integers(min_value=0, max_value=10_000),
     )
 
@@ -253,10 +261,183 @@ def _hub_instances():
 @given(_hub_instances())
 def test_internal_connectivity_on_hubs_matches_definition_oracle(pair):
     g, s = pair
-    assume(max(map(g.degree, range(g.n))) > _MASK_DEGREE)
+    assume(max(map(g.degree, range(g.n))) > 8)
     report = is_internally_connected(g, s)
     assert report.witness == oracle_internally_connected(g, s)
     assert report.holds == (report.witness is None)
+
+
+def _assert_internal_matches_oracle(g, s):
+    report = is_internally_connected(g, s)
+    assert report.witness == oracle_internally_connected(g, s)
+    assert report.holds == (report.witness is None)
+
+
+def _loose_instances():
+    """Random graphs, most with cycles and many disconnected, with random
+    sets, so categories go past the forest certificate to the search."""
+
+    def build(n, p, seed):
+        rng = seeded(seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        return Graph(n, edges), random_category_system(rng, n, max_sets=12)
+
+    return st.builds(
+        build,
+        st.integers(min_value=1, max_value=18),
+        st.sampled_from([0.1, 0.2, 0.35, 0.6]),
+        st.integers(min_value=0, max_value=10_000),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_loose_instances())
+def test_internal_connectivity_on_loose_graphs_matches_definition_oracle(pair):
+    _assert_internal_matches_oracle(*pair)
+
+
+def _disconnected_instances():
+    """Two or three random connected pieces side by side, with random sets
+    (which may span pieces) and sets drawn inside one piece."""
+
+    def build(sizes, seed):
+        rng = seeded(seed)
+        edges, pieces, offset = [], [], 0
+        for size in sizes:
+            piece = random_connected_graph(rng, size)
+            edges.extend((u + offset, v + offset) for u, v in piece.edges())
+            pieces.append(range(offset, offset + size))
+            offset += size
+        sets = [set(members) for members in random_category_system(rng, offset).categories]
+        for piece in pieces:
+            for _ in range(rng.randint(0, 4)):
+                sets.append(set(rng.sample(piece, rng.randint(1, len(piece)))))
+        return Graph(offset, edges), CategorySystem(offset, sets)
+
+    return st.builds(
+        build,
+        st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=3),
+        st.integers(min_value=0, max_value=10_000),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_disconnected_instances())
+def test_internal_connectivity_on_disconnected_graphs_matches_definition_oracle(pair):
+    _assert_internal_matches_oracle(*pair)
+
+
+class TestForestCertificate:
+    """``is_internally_connected`` first certifies the categories with one top
+    member on a BFS spanning forest, then searches the rest."""
+
+    def test_set_inside_a_later_component_is_searched(self):
+        # Components {0, 1} and the path 2-3-4: {2, 4} has a top member at
+        # each end, and only a forest that reaches the second component
+        # sees them.
+        g = Graph(5, [(0, 1), (2, 3), (3, 4)])
+        s = CategorySystem(5, [(0, 1), (2, 4)])
+        report = is_internally_connected(g, s)
+        assert not report.holds and report.witness == 1
+
+    def test_set_spanning_components_fails(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        s = CategorySystem(4, [(0, 1), (1, 2), (2, 3)])
+        assert is_internally_connected(g, s).witness == 1
+
+    def test_set_joined_only_by_a_non_tree_edge_holds(self):
+        # On the 4-cycle the forest from 0 has edges 0-1, 0-3 and 1-2, so
+        # {2, 3} has two top members and is joined by the edge 2-3 alone.
+        g = cycle_graph(4)
+        s = CategorySystem(4, [(2, 3), (1, 2, 3)])
+        assert _uncertified(g, s.vertex_masks) == 0b11
+        assert is_internally_connected(g, s).holds
+
+    def test_first_failing_category_is_the_witness(self):
+        # Three sets split apart; the second one is connected.
+        g = path_graph(6)
+        s = CategorySystem(6, [(0, 2), (1, 2, 3), (1, 4), (3, 5)])
+        assert is_internally_connected(g, s).witness == 0
+        s = CategorySystem(6, [(1, 2, 3), (1, 4), (3, 5)])
+        assert is_internally_connected(g, s).witness == 1
+
+    @pytest.mark.parametrize(
+        "g, s",
+        [
+            (Graph(0), CategorySystem(0, [])),
+            (Graph(1), CategorySystem(1, [])),
+            (Graph(1), CategorySystem(1, [(0,)])),
+            (path_graph(4), CategorySystem(4, [])),
+            (Graph(3), CategorySystem(3, [])),
+        ],
+    )
+    def test_degenerate_instances_hold(self, g, s):
+        assert is_internally_connected(g, s) == PropertyReport(INTERNALLY_CONNECTED, True)
+        assert oracle_internally_connected(g, s) is None
+        assert _uncertified(g, s.vertex_masks) == 0
+
+    def test_on_a_tree_only_disconnected_categories_are_uncertified(self):
+        rng = seeded(41)
+        for _ in range(60):
+            n = rng.randint(1, 30)
+            tree = random_tree(rng, n, rng.choice(["uniform", "hub"]))
+            sets = [members for members in tree_categories(tree).categories if rng.random() < 0.3]
+            sets += [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(0, 6))]
+            s = CategorySystem(n, sets)
+            split = sum(
+                1 << i
+                for i, members in enumerate(s.categories)
+                if oracle_internally_connected(tree.graph, CategorySystem(n, [members])) is not None
+            )
+            assert _uncertified(tree.graph, s.vertex_masks) == split
+
+    def test_certified_categories_are_connected(self):
+        rng = seeded(43)
+        for _ in range(60):
+            n = rng.randint(1, 16)
+            g = random_connected_graph(rng, n)
+            s = random_category_system(rng, n, max_sets=12)
+            uncertified = _uncertified(g, s.vertex_masks)
+            for i, members in enumerate(s.categories):
+                if not uncertified >> i & 1:
+                    assert oracle_internally_connected(g, CategorySystem(n, [members])) is None
+
+
+def _constructed_cycle_and_grid_instances():
+    """Cycles and grids with ``graph_categories`` sets: the BFS tree they are
+    built on is not the check's forest, so connected sets go to the search.
+    Some sets lose a member, which may split them."""
+
+    def build(family, n, seed, drop):
+        rng = seeded(seed)
+        g = generate(GeneratorSpec(family, n, seed))
+        sets = [set(members) for members in graph_categories(g).categories]
+        for members in sets:
+            if len(members) > 2 and rng.random() < drop:
+                members.discard(rng.choice(sorted(members)))
+        return g, CategorySystem(n, sets)
+
+    return st.builds(
+        build,
+        st.sampled_from(["cycle", "grid"]),
+        st.integers(min_value=3, max_value=30),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([0.0, 0.05, 0.3]),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_constructed_cycle_and_grid_instances())
+def test_internal_connectivity_on_constructed_cycles_and_grids_matches_oracle(pair):
+    _assert_internal_matches_oracle(*pair)
+
+
+@pytest.mark.parametrize("family, n", [("cycle", 40), ("grid", 49), ("grid", 60)])
+def test_constructed_cycles_and_grids_are_internally_connected(family, n):
+    g = generate(GeneratorSpec(family, n, 1))
+    s = graph_categories(g)
+    assert is_internally_connected(g, s).holds
+    assert oracle_internally_connected(g, s) is None
 
 
 def _tree_construction_instances():

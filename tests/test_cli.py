@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from catroute import graph as graph_module
 from catroute import parse_categories, path_categories, serialize_categories
 from catroute.cli import main
 from catroute.errors import InternalCheckError
 from catroute.fixtures import counterexample_cycle
 from catroute.graph import serialize_edge_list
 
-from conftest import path_graph
+from conftest import path_graph, star_graph
 
 COUNTER_EDGES = "0 1\n1 2\n2 3\n0 3\n"
 
@@ -71,6 +72,16 @@ class TestConstruct:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["construct", "--graph", "/nonexistent.edges"]) == 2
+
+
+    def test_graph_above_vertex_cap_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 10)
+        graph_file = tmp_path / "g.edges"
+        graph_file.write_text("n 11\n0 1\n")
+        assert main(["construct", "--graph", str(graph_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: vertex count 11 is above the cap of 10\n"
 
 
 class TestRoute:
@@ -144,7 +155,21 @@ class TestStats:
     def test_with_categories(self, counter_files, capsys):
         graph_file, cats_file = counter_files
         assert main(["stats", "--graph", graph_file, "--cats", cats_file]) == 0
-        assert capsys.readouterr().out == "n=4\nm=4\ndiam=2\nmemdim=4\n"
+        assert capsys.readouterr().out == (
+            "n=4\nm=4\ndiam=2\nmemdim=4\nmemdim_vertex=1\nmemdim_degree=2\n"
+        )
+
+
+    def test_dimension_vertex_is_a_hub(self, tmp_path, capsys):
+        # Under the graph construction the star's center holds the most
+        # categories; every leaf has degree 1.
+        graph_file = tmp_path / "star.edges"
+        graph_file.write_text(serialize_edge_list(star_graph(9)))
+        cats_file = tmp_path / "star.json"
+        assert main(["construct", "--graph", str(graph_file), "--out", str(cats_file)]) == 0
+        assert main(["stats", "--graph", str(graph_file), "--cats", str(cats_file)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["memdim_vertex=0", "memdim_degree=8"]
 
 
 class TestBench:

@@ -18,6 +18,7 @@ from catroute import (
     parse_edge_list,
     serialize_edge_list,
 )
+from catroute import graph as graph_module
 from catroute.generators import GeneratorSpec, generate
 
 from conftest import (
@@ -95,6 +96,32 @@ class TestParseEdgeList:
     def test_id_beyond_declared_count(self):
         with pytest.raises(ValidationError):
             parse_edge_list("n 2\n0 5\n")
+
+    def test_default_vertex_cap(self):
+        assert graph_module.MAX_VERTICES == 1_000_000
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("n 11\n0 1\n", 1), ("0 1\n3 10\n", 2), ("# ids\n10 2\n", 2)],
+    )
+    def test_vertex_count_above_cap_fails_before_the_graph_is_built(
+        self, monkeypatch, text, line
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Graph built past the vertex cap")
+
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 10)
+        monkeypatch.setattr(graph_module, "Graph", refuse)
+        with pytest.raises(ValidationError) as err:
+            parse_edge_list(text)
+        assert str(err.value).startswith(f"line {line}: ")
+        assert "cap of 10" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["n 10\n0 9\n", "0 9\n"])
+    def test_vertex_count_at_cap_is_accepted(self, monkeypatch, text):
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 10)
+        g = parse_edge_list(text)
+        assert g.n == 10 and list(g.edges()) == [(0, 9)]
 
     def test_empty_input_gives_empty_graph(self):
         assert parse_edge_list("").n == 0
