@@ -6,7 +6,7 @@ properties behind that guarantee by brute force at desk scale, and ships a
 seeded benchmark workbench and CLI around it all.
 """
 
-from .bench import BenchRecord, bench_one, run_benchmark
+from .bench import bench_one, run_benchmark
 from .categories import (
     CategorySystem,
     cat,
@@ -16,7 +16,6 @@ from .categories import (
     serialize_categories,
 )
 from .checks import (
-    ImplicationReport,
     PropertyReport,
     check_implications,
     is_internally_connected,
@@ -41,8 +40,8 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .fixtures import FixtureOutcome, counterexample_cycle, run_fixtures
-from .generators import FAMILIES, GeneratorSpec, generate
+from .fixtures import counterexample_cycle, run_fixtures
+from .generators import GeneratorSpec, generate
 from .graph import (
     Graph,
     RootedTree,
@@ -57,25 +56,20 @@ from .graph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .routing import RouteTrace, format_trace, greedy_route, greedy_step
+from .routing import format_trace, greedy_route, greedy_step
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRecord",
     "CategorySystem",
     "DisconnectedGraphError",
-    "FAMILIES",
-    "FixtureOutcome",
     "GenerationError",
     "GeneratorSpec",
     "Graph",
-    "ImplicationReport",
     "InternalCheckError",
     "ParseError",
     "PropertyReport",
     "RootedTree",
-    "RouteTrace",
     "ValidationError",
     "bench_one",
     "bfs_distances",

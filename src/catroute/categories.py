@@ -28,14 +28,6 @@ from operator import index
 from .errors import ParseError, ValidationError
 
 
-def iter_bits(mask):
-    """Yield the set bit positions of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # The set bit positions of each byte value, ascending.
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
@@ -130,10 +122,6 @@ class CategorySystem:
     def num_categories(self):
         return len(self.categories)
 
-    def members(self, i):
-        """Ascending member tuple of category ``i``."""
-        return self.categories[i]
-
     def __eq__(self, other):
         if not isinstance(other, CategorySystem):
             return NotImplemented
@@ -147,7 +135,7 @@ def cat(system, u):
     """Indices of the categories containing vertex ``u``, ascending."""
     if not (0 <= u < system.n):
         raise ValidationError(f"vertex {u} out of range for n={system.n}")
-    return tuple(iter_bits(system.vertex_masks[u]))
+    return _members(system.vertex_masks[u])
 
 
 def membership_dimension(system):

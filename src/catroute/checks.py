@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .categories import _members, iter_bits
+from .categories import _members
 from .errors import InternalCheckError
 from .graph import is_tree
 from .routing import RouteTrace, _check_universe, greedy_route
@@ -76,25 +76,26 @@ def is_internally_connected(g, system):
     induced subgraph falls apart. The categories that ``_uncertified`` cannot
     certify at once, those with two or more top members on one BFS spanning
     forest, are then searched in ascending index order, each from its
-    smallest member with its unseen members kept as a mask: a popped vertex
-    finds its unseen neighbours in the category with one n-bit AND. The
-    certificate costs O(n + m) steps plus O(n) ANDs and ORs of k-bit ints; on
-    a tree, the forest is ``g`` itself, so only the disconnected categories
-    are searched.
+    smallest member with its unseen and its reached-but-unexpanded members
+    kept as masks: expanding the lowest pending vertex finds its unseen
+    neighbours in the category with one n-bit AND, and no member list is
+    built. The certificate costs O(n + m) steps plus O(n) ANDs and ORs of
+    k-bit ints; on a tree, the forest is ``g`` itself, so only the
+    disconnected categories are searched.
     """
     _check_universe(g, system)
     neighbor_masks = g.neighbor_masks
     category_masks = system.category_masks
     categories = system.categories
     for index in _members(_uncertified(g, system.vertex_masks)):
-        start = categories[index][0]
-        unseen = category_masks[index] ^ (1 << start)
-        stack = [start]
-        while stack and unseen:
-            found = neighbor_masks[stack.pop()] & unseen
-            if found:
-                unseen ^= found
-                stack.extend(iter_bits(found))
+        pending = 1 << categories[index][0]
+        unseen = category_masks[index] ^ pending
+        while pending and unseen:
+            low = pending & -pending
+            pending ^= low
+            found = neighbor_masks[low.bit_length() - 1] & unseen
+            unseen ^= found
+            pending |= found
         if unseen:
             return PropertyReport(INTERNALLY_CONNECTED, False, index)
     return PropertyReport(INTERNALLY_CONNECTED, True)

@@ -8,6 +8,7 @@ failed, which means a bug in this package).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -91,26 +92,18 @@ def _load_categories(path, n):
 
 
 def _construct(args):
-    text = serialize_categories(construct_categories(_load_graph(args.graph), args.method))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return 0, serialize_categories(construct_categories(_load_graph(args.graph), args.method))
 
 
 def _route(args):
     g = _load_graph(args.graph)
     system = _load_categories(args.cats, g.n)
     trace = greedy_route(g, system, args.source, args.target)
-    if args.trace:
-        print(format_trace(trace, g))
-    elif trace.delivered:
-        print(f"DELIVERED in {trace.hops} hops")
-    else:
-        print(f"STUCK at {g.label(trace.stuck_at)} (d={trace.hop_distances[-1]})")
-    return 0 if trace.delivered else 1
+    text = format_trace(trace, g)
+    if not args.trace:
+        # Only the outcome line, DELIVERED or STUCK.
+        text = text.rpartition("\n")[2]
+    return (0 if trace.delivered else 1), text + "\n"
 
 
 def _render_witness(report):
@@ -133,33 +126,32 @@ def _check(args):
         "all-pairs": verify_all_pairs_routing,
     }
     requested = [key.strip() for key in args.props.split(",") if key.strip()]
+    if not requested:
+        raise ValidationError("the property list is empty")
     unknown = [key for key in requested if key not in checkers]
     if unknown:
         raise ValidationError(f"unknown properties: {', '.join(unknown)}")
+    lines = []
     failed = False
     for key in requested:
         report = checkers[key](g, system)
         if report.holds:
-            print(f"{report.property_name}: OK")
+            lines.append(f"{report.property_name}: OK\n")
         else:
             failed = True
-            print(f"{report.property_name}: FAIL witness={_render_witness(report)}")
-    return 1 if failed else 0
+            lines.append(f"{report.property_name}: FAIL witness={_render_witness(report)}\n")
+    return (1 if failed else 0), "".join(lines)
 
 
 def _stats(args):
     g = _load_graph(args.graph)
-    print(f"n={g.n}")
-    print(f"m={g.num_edges}")
-    print(f"diam={diameter(g)}")
+    text = f"n={g.n}\nm={g.num_edges}\ndiam={diameter(g)}\n"
     if args.cats:
         system = _load_categories(args.cats, g.n)
         memdim = membership_dimension(system)
         vertex = [m.bit_count() for m in system.vertex_masks].index(memdim)
-        print(f"memdim={memdim}")
-        print(f"memdim_vertex={vertex}")
-        print(f"memdim_degree={g.degree(vertex)}")
-    return 0
+        text += f"memdim={memdim}\nmemdim_vertex={vertex}\nmemdim_degree={g.degree(vertex)}\n"
+    return 0, text
 
 
 def _bench(args):
@@ -168,25 +160,22 @@ def _bench(args):
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid bench spec JSON: {exc}") from None
-    specs = specs_from_json(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            run_benchmark(specs, sink=handle)
-    else:
-        run_benchmark(specs, sink=sys.stdout)
-    return 0
+    sink = io.StringIO()
+    run_benchmark(specs_from_json(payload), sink=sink)
+    return 0, sink.getvalue()
 
 
 def _fixtures(args):
     outcomes = run_fixtures()
-    failed = False
-    for outcome in outcomes:
-        status = "PASS" if outcome.passed else "FAIL"
-        print(f"{status} {outcome.name} ({outcome.detail})")
-        failed = failed or not outcome.passed
-    return 1 if failed else 0
+    text = "".join(
+        f"{'PASS' if outcome.passed else 'FAIL'} {outcome.name} ({outcome.detail})\n"
+        for outcome in outcomes
+    )
+    return (0 if all(outcome.passed for outcome in outcomes) else 1), text
 
 
+# Each handler returns ``(exit code, text)``; ``main`` writes the text, so a
+# call that raises writes nothing to stdout and leaves ``--out`` untouched.
 _HANDLERS = {
     "construct": _construct,
     "route": _route,
@@ -201,7 +190,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code, text = _HANDLERS[args.command](args)
+        # Only construct and bench have --out. sys.stdout is looked up here,
+        # at call time, so that contextlib.redirect_stdout reaches it.
+        out = getattr(args, "out", None)
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ParseError, ValidationError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

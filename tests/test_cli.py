@@ -112,6 +112,14 @@ class TestRoute:
         assert code == 0
         assert capsys.readouterr().out.strip() == "DELIVERED in 1 hops"
 
+    def test_stuck_summary_only(self, counter_files, capsys):
+        graph_file, cats_file = counter_files
+        code = main(
+            ["route", "--graph", graph_file, "--cats", cats_file, "--from", "1", "--to", "3"]
+        )
+        assert code == 1
+        assert capsys.readouterr().out == "STUCK at 1 (d=2)\n"
+
 
 class TestCheck:
     def test_all_properties(self, counter_files, capsys):
@@ -145,6 +153,31 @@ class TestCheck:
         assert code == 3
         assert capsys.readouterr().err.splitlines() == ["internal error: invariant broke"]
 
+    def test_internal_error_after_a_passing_check_writes_no_verdicts(
+        self, counter_files, capsys, monkeypatch
+    ):
+        def broken(g, system):
+            raise InternalCheckError("invariant broke")
+
+        monkeypatch.setattr("catroute.cli.is_shattered", broken)
+        graph_file, cats_file = counter_files
+        code = main(
+            ["check", "--graph", graph_file, "--cats", cats_file, "--props", "internal,shattered"]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: invariant broke\n"
+
+    @pytest.mark.parametrize("props", [",", "", " , "], ids=["comma", "empty", "blank"])
+    def test_empty_property_list_is_usage_error(self, counter_files, capsys, props):
+        graph_file, cats_file = counter_files
+        code = main(["check", "--graph", graph_file, "--cats", cats_file, "--props", props])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the property list is empty\n"
+
 
 class TestStats:
     def test_without_categories(self, counter_files, capsys):
@@ -171,6 +204,29 @@ class TestStats:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-2:] == ["memdim_vertex=0", "memdim_degree=8"]
 
+    @pytest.mark.parametrize(
+        "edges, error",
+        [
+            ("", "error: diameter of an empty graph is undefined\n"),
+            ("0 1\n2 3\n", "error: graph is disconnected: no path between 0 and 2\n"),
+        ],
+        ids=["empty", "disconnected"],
+    )
+    def test_bad_graph_writes_nothing_to_stdout(self, tmp_path, capsys, edges, error):
+        graph_file = tmp_path / "g.edges"
+        graph_file.write_text(edges)
+        assert main(["stats", "--graph", str(graph_file)]) == 2
+        assert capsys.readouterr() == ("", error)
+
+    def test_category_file_of_another_size_writes_nothing_to_stdout(
+        self, counter_files, tmp_path, capsys
+    ):
+        graph_file, _ = counter_files
+        cats_file = tmp_path / "five.json"
+        cats_file.write_text('{"n":5,"categories":[[0]]}\n')
+        assert main(["stats", "--graph", graph_file, "--cats", str(cats_file)]) == 2
+        assert capsys.readouterr() == ("", "error: category file declares n=5, expected n=4\n")
+
 
 class TestBench:
     def test_csv_to_file(self, tmp_path):
@@ -190,6 +246,21 @@ class TestBench:
         spec_file = tmp_path / "specs.json"
         spec_file.write_text("{broken")
         assert main(["bench", "--spec", str(spec_file)]) == 2
+
+    def test_over_cap_spec_leaves_the_output_file_alone(self, tmp_path, capsys):
+        spec_file = tmp_path / "specs.json"
+        spec_file.write_text(json.dumps([
+            {"family": "path", "n": 6},
+            {"family": "path", "n": 501},
+        ]))
+        out_file = tmp_path / "out.csv"
+        out_file.write_text("earlier results\n")
+        code = main(["bench", "--spec", str(spec_file), "--out", str(out_file)])
+        assert code == 2
+        assert out_file.read_text() == "earlier results\n"
+        assert capsys.readouterr() == (
+            "", "error: n=501 exceeds the all-pairs verification cap of 500\n"
+        )
 
 
 class TestFixturesCommand:

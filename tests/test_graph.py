@@ -6,6 +6,7 @@ from catroute import (
     DisconnectedGraphError,
     Graph,
     ParseError,
+    RootedTree,
     ValidationError,
     bfs_distances,
     bfs_spanning_tree,
@@ -51,6 +52,15 @@ class TestGraphType:
         with pytest.raises(ValidationError):
             Graph(2, [(0, 5)])
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValidationError):
+            Graph(-1)
+
+    @pytest.mark.parametrize("labels", [["a", "b"], ["a", "b", "c", "d"]])
+    def test_labels_of_the_wrong_length_rejected(self, labels):
+        with pytest.raises(ValidationError):
+            Graph(3, [(0, 1)], labels=labels)
+
 
 class TestParseEdgeList:
     def test_smallest_path(self):
@@ -88,6 +98,12 @@ class TestParseEdgeList:
     def test_negative_id_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_edge_list("-1 0\n")
+
+    @pytest.mark.parametrize("text", ["n 1 2\n", "# count\nn x\n", "\n\nn -1\n"])
+    def test_bad_header_reports_line(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert err.value.line == text.count("\n")
 
     def test_header_must_come_first(self):
         with pytest.raises(ParseError):
@@ -223,6 +239,22 @@ class TestBfsSpanningTree:
     def test_disconnected_input(self):
         with pytest.raises(DisconnectedGraphError):
             bfs_spanning_tree(Graph(3, [(0, 1)]), 0)
+
+
+class TestRootedTree:
+    def test_root_with_a_parent_rejected(self):
+        with pytest.raises(ValidationError, match="root must have no parent"):
+            RootedTree([1, None, 1], 0)
+
+    @pytest.mark.parametrize("bad", [3, -1, None])
+    def test_parent_out_of_range_rejected(self, bad):
+        with pytest.raises(ValidationError, match="vertex 2 has invalid parent"):
+            RootedTree([None, 0, bad], 0)
+
+    def test_parent_cycle_rejected(self):
+        # 2 and 3 point at each other, so neither is reached from the root.
+        with pytest.raises(ValidationError, match="does not form a tree"):
+            RootedTree([None, 0, 3, 2], 0)
 
 
 class TestShapePredicates:
