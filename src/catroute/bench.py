@@ -104,20 +104,14 @@ def bench_one(spec):
     )
 
 
-def run_benchmark(specs, sink=None):
-    """Run every spec in order; write CSV to ``sink`` if given; return records."""
-    records = [bench_one(spec) for spec in specs]
-    if sink is not None:
-        sink.write(CSV_HEADER + "\n")
-        for record in records:
-            sink.write(record.csv_row() + "\n")
-    return records
+def run_benchmark(specs):
+    """Run every spec in order and return the CSV text, header first."""
+    rows = [CSV_HEADER] + [bench_one(spec).csv_row() for spec in specs]
+    return "\n".join(rows) + "\n"
 
 
 def specs_from_json(payload):
     """Decode a bench spec file: a JSON list of generator spec objects."""
-    if isinstance(payload, dict) and "specs" in payload:
-        payload = payload["specs"]
     if not isinstance(payload, list):
         raise ValidationError("bench spec file must be a JSON list of spec objects")
     return [GeneratorSpec.from_dict(entry) for entry in payload]

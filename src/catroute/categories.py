@@ -161,8 +161,6 @@ def parse_categories(text, n):
     The file's own "n" must match; members must be in range; duplicate sets
     collapse and empty sets are rejected.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

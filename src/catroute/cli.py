@@ -8,7 +8,6 @@ failed, which means a bug in this package).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -81,25 +80,25 @@ def build_parser():
     return parser
 
 
-def _load_graph(path):
+def _read(path):
+    """The text of an input file; a file that is not UTF-8 is a ParseError."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle)
-
-
-def _load_categories(path, n):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_categories(handle, n)
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _construct(args):
-    return 0, serialize_categories(construct_categories(_load_graph(args.graph), args.method))
+    g = parse_edge_list(_read(args.graph))
+    return 0, serialize_categories(construct_categories(g, args.method))
 
 
 def _route(args):
-    g = _load_graph(args.graph)
-    system = _load_categories(args.cats, g.n)
+    g = parse_edge_list(_read(args.graph))
+    system = parse_categories(_read(args.cats), g.n)
     trace = greedy_route(g, system, args.source, args.target)
-    text = format_trace(trace, g)
+    text = format_trace(trace)
     if not args.trace:
         # Only the outcome line, DELIVERED or STUCK.
         text = text.rpartition("\n")[2]
@@ -116,8 +115,8 @@ def _render_witness(report):
 
 
 def _check(args):
-    g = _load_graph(args.graph)
-    system = _load_categories(args.cats, g.n)
+    g = parse_edge_list(_read(args.graph))
+    system = parse_categories(_read(args.cats), g.n)
     # Built per call, so that a check rebound on this module after import (as
     # perfbench/tracer.py does) is the one that runs.
     checkers = {
@@ -144,10 +143,10 @@ def _check(args):
 
 
 def _stats(args):
-    g = _load_graph(args.graph)
+    g = parse_edge_list(_read(args.graph))
     text = f"n={g.n}\nm={g.num_edges}\ndiam={diameter(g)}\n"
     if args.cats:
-        system = _load_categories(args.cats, g.n)
+        system = parse_categories(_read(args.cats), g.n)
         memdim = membership_dimension(system)
         vertex = [m.bit_count() for m in system.vertex_masks].index(memdim)
         text += f"memdim={memdim}\nmemdim_vertex={vertex}\nmemdim_degree={g.degree(vertex)}\n"
@@ -155,14 +154,11 @@ def _stats(args):
 
 
 def _bench(args):
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid bench spec JSON: {exc}") from None
-    sink = io.StringIO()
-    run_benchmark(specs_from_json(payload), sink=sink)
-    return 0, sink.getvalue()
+    try:
+        payload = json.loads(_read(args.spec))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid bench spec JSON: {exc}") from None
+    return 0, run_benchmark(specs_from_json(payload))
 
 
 def _fixtures(args):

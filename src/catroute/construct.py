@@ -204,10 +204,7 @@ def impossibility_pair():
     the opposite; so any system delivering all pairs on one is stuck on the
     other.
     """
-    labels = ("s", "u", "t")
-    first = Graph(3, [(0, 1), (1, 2)], labels=labels)
-    second = Graph(3, [(1, 0), (0, 2)], labels=labels)
-    return first, second
+    return Graph(3, [(0, 1), (1, 2)]), Graph(3, [(1, 0), (0, 2)])
 
 
 def _masks(tree, bit):

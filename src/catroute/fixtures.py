@@ -20,7 +20,7 @@ def counterexample_cycle():
     closer neighbor. This is the standard demonstration that the two
     structural properties guarantee delivery only on trees.
     """
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], labels=("u", "v", "w", "x"))
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     system = CategorySystem(
         4,
         [

@@ -46,20 +46,16 @@ class GeneratorSpec:
         if unknown:
             raise GenerationError(f"unknown generator spec keys: {sorted(unknown)}")
         try:
-            return cls(
-                family=payload["family"],
-                n=int(payload["n"]),
-                seed=int(payload.get("seed", 0)),
-                params=dict(payload.get("params", {})),
-            )
+            family, n = payload["family"], payload["n"]
         except KeyError as exc:
             raise GenerationError(f"generator spec missing {exc}") from None
-
-    def to_dict(self):
-        out = {"family": self.family, "n": self.n, "seed": self.seed}
-        if self.params:
-            out["params"] = dict(self.params)
-        return out
+        if not isinstance(family, str):
+            raise GenerationError(f"family must be a string, got {family!r}")
+        params = payload.get("params", {})
+        if not isinstance(params, dict):
+            raise GenerationError(f"params must be an object, got {params!r}")
+        seed = _integer(payload.get("seed", 0), "seed")
+        return cls(family, _integer(n, "n"), seed, dict(params))
 
 
 def generate(spec):
@@ -99,6 +95,8 @@ def _build_grid(spec, rng):
         cols = spec.n // rows
     elif rows is None or cols is None:
         raise GenerationError("grid needs both rows and cols (or neither)")
+    elif _integer(rows, "rows") < 1 or _integer(cols, "cols") < 1:
+        raise GenerationError(f"grid dims {rows}x{cols} must be at least 1")
     if rows * cols != spec.n:
         raise GenerationError(f"grid dims {rows}x{cols} do not match n={spec.n}")
     edges = []
@@ -121,8 +119,7 @@ def _build_gnp(spec, rng):
     p = spec.params.get("p")
     if p is None:
         raise GenerationError("gnp-connected needs params.p")
-    if not 0.0 <= p <= 1.0:
-        raise GenerationError(f"edge probability {p} not in [0, 1]")
+    _probability(p, "edge probability")
 
     def sample():
         return [
@@ -136,14 +133,12 @@ def _build_gnp(spec, rng):
 
 
 def _build_watts_strogatz(spec, rng):
-    k = spec.params.get("k", 4)
-    beta = spec.params.get("beta", 0.1)
+    k = _integer(spec.params.get("k", 4), "ring degree k")
+    beta = _probability(spec.params.get("beta", 0.1), "rewiring probability")
     if k % 2 != 0 or k < 2:
         raise GenerationError(f"ring degree k={k} must be even and at least 2")
     if k >= spec.n:
         raise GenerationError(f"ring degree k={k} must be below n={spec.n}")
-    if not 0.0 <= beta <= 1.0:
-        raise GenerationError(f"rewiring probability {beta} not in [0, 1]")
 
     def sample():
         present = set()
@@ -165,6 +160,21 @@ def _build_watts_strogatz(spec, rng):
         return sorted(present)
 
     return _connected_sample(spec.n, rng, sample)
+
+
+def _integer(value, name):
+    """``value`` if it is an integer (a bool is not), else GenerationError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GenerationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _probability(value, name):
+    """``value`` if it is a real number (a bool is not) in [0, 1], else
+    GenerationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+        raise GenerationError(f"{name} {value!r} is not a number in [0, 1]")
+    return value
 
 
 def _norm(u, v):

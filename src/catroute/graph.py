@@ -20,13 +20,12 @@ MAX_VERTICES = 1_000_000
 class Graph:
     """Immutable undirected simple graph.
 
-    Duplicate edges collapse silently; self-loops are rejected. ``labels`` is
-    an optional per-vertex display string used only for rendering.
+    Duplicate edges collapse silently; self-loops are rejected.
     """
 
-    __slots__ = ("n", "adjacency", "labels", "neighbor_masks")
+    __slots__ = ("n", "adjacency", "neighbor_masks")
 
-    def __init__(self, n, edges=(), labels=None):
+    def __init__(self, n, edges=()):
         if n < 0:
             raise ValidationError("vertex count must be non-negative")
         neighbor_sets = [set() for _ in range(n)]
@@ -37,13 +36,8 @@ class Graph:
                 raise ValidationError(f"self-loop at vertex {u}")
             neighbor_sets[u].add(v)
             neighbor_sets[v].add(u)
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise ValidationError("labels must cover every vertex")
         self.n = n
         self.adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
-        self.labels = labels
         masks = []
         for nbrs in self.adjacency:
             m = 0
@@ -66,9 +60,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def label(self, v):
-        return self.labels[v] if self.labels is not None else str(v)
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
@@ -88,8 +79,6 @@ def parse_edge_list(text):
     ``MAX_VERTICES``, declared or implied by a vertex id, raises
     ``ValidationError`` as soon as its line is read.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     cap = MAX_VERTICES
     declared_n = None
     edges = []
@@ -188,16 +177,9 @@ def is_tree(g):
 
 
 def is_path(g):
-    """True for a simple path on at least two vertices."""
-    if g.n < 2 or not is_connected(g):
-        return False
-    degree_counts = [0, 0, 0]
-    for v in range(g.n):
-        d = g.degree(v)
-        if d > 2:
-            return False
-        degree_counts[d] += 1
-    return degree_counts[1] == 2 and degree_counts[2] == g.n - 2
+    """True for a simple path on at least two vertices: a tree of maximum
+    degree 2. The degree test runs first, so most graphs need no BFS."""
+    return g.n >= 2 and all(len(a) <= 2 for a in g.adjacency) and is_tree(g)
 
 
 def eccentricity(g, v):

@@ -107,16 +107,15 @@ def greedy_route(g, system, source, target):
     return RouteTrace(source, target, tuple(path), tuple(hop_distances), True)
 
 
-def format_trace(trace, g=None):
+def format_trace(trace):
     """Render a trace as text, one line per hop plus a final outcome line."""
-    name = g.label if g is not None else str
-    lines = []
-    for i in range(trace.hops):
-        lines.append(
-            f"{name(trace.path[i])} -(d={trace.hop_distances[i + 1]})-> {name(trace.path[i + 1])}"
-        )
+    path = trace.path
+    lines = [
+        f"{path[i]} -(d={trace.hop_distances[i + 1]})-> {path[i + 1]}"
+        for i in range(trace.hops)
+    ]
     if trace.delivered:
         lines.append(f"DELIVERED in {trace.hops} hops")
     else:
-        lines.append(f"STUCK at {name(trace.stuck_at)} (d={trace.hop_distances[-1]})")
+        lines.append(f"STUCK at {trace.stuck_at} (d={trace.hop_distances[-1]})")
     return "\n".join(lines)

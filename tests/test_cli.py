@@ -263,6 +263,56 @@ class TestBench:
         )
 
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"family": "path", "n": "abc"},
+            {"family": "path", "n": 2.9},
+            {"family": "path", "n": True},
+            {"family": "path", "n": 6, "seed": None},
+            {"family": "path", "n": 6, "params": [1]},
+            {"family": "gnp-connected", "n": 10, "params": {"p": "0.1"}},
+            {"family": "watts-strogatz", "n": 10, "params": {"k": 4.0}},
+            {"family": "grid", "n": 12, "params": {"rows": 3.0, "cols": 4}},
+            {"family": "grid", "n": 12, "params": {"rows": -3, "cols": -4}},
+        ],
+        ids=[
+            "n-str", "n-float", "n-bool", "seed-null", "params-list", "p-str",
+            "k-float", "rows-float", "dims-negative",
+        ],
+    )
+    def test_malformed_spec_leaves_the_output_file_alone(self, tmp_path, capsys, spec):
+        spec_file = tmp_path / "specs.json"
+        spec_file.write_text(json.dumps([{"family": "path", "n": 6}, spec]))
+        out_file = tmp_path / "out.csv"
+        out_file.write_text("earlier results\n")
+        code = main(["bench", "--spec", str(spec_file), "--out", str(out_file)])
+        assert code == 2
+        assert out_file.read_text() == "earlier results\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("option", ["--graph", "--cats", "--spec"])
+    def test_file_that_is_not_utf8_is_an_input_error(self, counter_files, tmp_path, capsys, option):
+        graph_file, cats_file = counter_files
+        bad_file = tmp_path / "bad.bin"
+        bad_file.write_bytes(b"0 1\n\xff\n")
+        bad = str(bad_file)
+        argv = {
+            "--graph": ["stats", "--graph", bad],
+            "--cats": ["route", "--graph", graph_file, "--cats", bad, "--from", "0", "--to", "1"],
+            "--spec": ["bench", "--spec", bad],
+        }[option]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 4)\n"
+
+
 class TestFixturesCommand:
     def test_exit_zero_and_pass_lines(self, capsys):
         assert main(["fixtures"]) == 0

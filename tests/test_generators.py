@@ -106,16 +106,54 @@ class TestErrors:
         with pytest.raises(GenerationError):
             generate(GeneratorSpec("watts-strogatz", 4, params={"k": 4}))
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"family": 5, "n": 4},
+            {"family": "path", "n": "abc"},
+            {"family": "path", "n": 2.9},
+            {"family": "path", "n": True},
+            {"family": "path", "n": 4, "seed": None},
+            {"family": "path", "n": 4, "seed": 1.0},
+            {"family": "path", "n": 4, "params": [1]},
+            {"family": "gnp-connected", "n": 10, "params": {"p": "0.1"}},
+            {"family": "gnp-connected", "n": 10, "params": {"p": True}},
+            {"family": "watts-strogatz", "n": 10, "params": {"k": 4.0}},
+            {"family": "watts-strogatz", "n": 10, "params": {"beta": "0.2"}},
+            {"family": "watts-strogatz", "n": 10, "params": {"beta": False}},
+            {"family": "grid", "n": 12, "params": {"rows": 3.0, "cols": 4}},
+            {"family": "grid", "n": 12, "params": {"rows": 3, "cols": True}},
+            {"family": "grid", "n": 12, "params": {"rows": -3, "cols": -4}},
+        ],
+        ids=[
+            "family-int", "n-str", "n-float", "n-bool", "seed-null", "seed-float",
+            "params-list", "p-str", "p-bool", "k-float", "beta-str", "beta-bool",
+            "rows-float", "cols-bool", "dims-negative",
+        ],
+    )
+    def test_malformed_spec_is_a_generation_error(self, payload):
+        with pytest.raises(GenerationError):
+            generate(GeneratorSpec.from_dict(payload))
+
+    # An integer is a number, and a grid dim of 1 is allowed.
+    @pytest.mark.parametrize(
+        "family, n, params",
+        [
+            ("gnp-connected", 10, {"p": 1}),
+            ("watts-strogatz", 10, {"beta": 0}),
+            ("grid", 12, {"rows": 1, "cols": 12}),
+        ],
+    )
+    def test_well_typed_params_accepted(self, family, n, params):
+        spec = GeneratorSpec.from_dict({"family": family, "n": n, "seed": 3, "params": params})
+        assert is_connected(generate(spec))
+
     def test_spec_from_dict_rejects_unknown_keys(self):
         with pytest.raises(GenerationError):
             GeneratorSpec.from_dict({"family": "path", "n": 3, "colour": "red"})
 
 
 class TestSpecRoundtrip:
-    def test_dict_roundtrip(self):
-        spec = GeneratorSpec("gnp-connected", 12, seed=3, params={"p": 0.2})
-        assert GeneratorSpec.from_dict(spec.to_dict()) == spec
-
     def test_defaults(self):
         spec = GeneratorSpec.from_dict({"family": "path", "n": 3})
         assert spec.seed == 0

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -55,11 +57,6 @@ class TestGraphType:
     def test_negative_vertex_count_rejected(self):
         with pytest.raises(ValidationError):
             Graph(-1)
-
-    @pytest.mark.parametrize("labels", [["a", "b"], ["a", "b", "c", "d"]])
-    def test_labels_of_the_wrong_length_rejected(self, labels):
-        with pytest.raises(ValidationError):
-            Graph(3, [(0, 1)], labels=labels)
 
 
 class TestParseEdgeList:
@@ -265,6 +262,19 @@ class TestShapePredicates:
         assert not is_path(cycle_graph(4))
         assert not is_path(star_graph(4))
         assert not is_path(Graph(4, [(0, 1), (2, 3)]))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_is_path_on_every_labelled_graph(self, n):
+        # Oracle from the definition: some order of the vertices makes the
+        # edges exactly its consecutive pairs.
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            edges = {pair for pair, keep in zip(pairs, chosen) if keep}
+            expected = n >= 2 and any(
+                edges == {tuple(sorted(step)) for step in zip(order, order[1:])}
+                for order in itertools.permutations(range(n))
+            )
+            assert is_path(Graph(n, edges)) == expected, (n, sorted(edges))
 
     def test_is_tree(self):
         assert is_tree(Graph(1))

@@ -130,10 +130,10 @@ class TestFormatTrace:
         trace = greedy_route(TINY_TREE, TINY_TREE_SETS, 1, 2)
         assert format_trace(trace) == "1 -(d=1)-> 0\n0 -(d=0)-> 2\nDELIVERED in 2 hops"
 
-    def test_stuck_rendering_uses_labels(self):
+    def test_stuck_rendering_uses_ids(self):
         g, s = counterexample_cycle()
         trace = greedy_route(g, s, 1, 3)
-        assert format_trace(trace, g) == "STUCK at v (d=2)"
+        assert format_trace(trace) == "STUCK at 1 (d=2)"
 
 
 def _instances():
