@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from .categories import membership_dimension
 from .checks import route_statistics
-from .construct import graph_categories
-from .errors import InternalCheckError, ValidationError
+from .construct import tree_categories
+from .errors import DisconnectedGraphError, InternalCheckError, ValidationError
 from .generators import GeneratorSpec, generate
-from .graph import diameter
+from .graph import _eccentricity_levels, bfs_spanning_tree, disconnected_witness
 
 CSV_HEADER = (
     "seed,family,n,m,diam,memdim,all_pairs_ok,max_route_len,"
@@ -69,17 +69,24 @@ def bench_one(spec):
     """Generate one instance, construct its categories, verify all pairs.
 
     Specs with more than ``ALL_PAIRS_CAP`` vertices are rejected before
-    anything is generated.
+    anything is generated. The root (the first vertex of minimum
+    eccentricity, as ``choose_root`` picks it) and the diameter come from one
+    reach sweep, and the categories are ``graph_categories``' sets on that
+    root's BFS tree.
     """
     if spec.n > ALL_PAIRS_CAP:
         raise ValidationError(
             f"n={spec.n} exceeds the all-pairs verification cap of {ALL_PAIRS_CAP}"
         )
     g = generate(spec)
+    witness = disconnected_witness(g)
+    if witness is not None:
+        raise DisconnectedGraphError(*witness)
     started = time.perf_counter()
-    system = graph_categories(g)
+    levels = list(_eccentricity_levels(g))
+    system = tree_categories(bfs_spanning_tree(g, levels[0][1][0]))
     construct_millis = int(round((time.perf_counter() - started) * 1000))
-    diam = diameter(g)
+    diam = levels[-1][0]
     memdim = membership_dimension(system)
     report, max_len, mean_len = route_statistics(g, system)
     if not report.holds:

@@ -8,6 +8,8 @@ ordered vertex pair, in lexicographic order, for which the property breaks.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .categories import _members
@@ -18,6 +20,12 @@ from .routing import RouteTrace, _check_universe, greedy_route
 INTERNALLY_CONNECTED = "internally-connected"
 SHATTERED = "shattered"
 ALL_PAIRS_ROUTING = "all-pairs-routing"
+
+# Targets settled together by one pass of the all-pairs sweep.
+_BLOCK = 512
+# Field widths of the sweep's packed shared counts, narrowest first.
+_WIDTHS = (8, 16, 32, 64)
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,8 @@ def is_shattered(g, system):
 
 
 def _forest(adjacency, vertex_masks, t):
-    """Greedy forwarding toward ``t`` from every vertex at once.
+    """Greedy forwarding toward ``t`` from every vertex at once, the trace
+    source of ``iter_all_pair_routes``.
 
     Returns ``(shared, nxt, depth)``: how many of ``t``'s categories each
     vertex holds (its distance to ``t`` is ``shared[t] - shared[v]``), its
@@ -192,35 +201,153 @@ def iter_all_pair_routes(g, system):
             )
 
 
+def _packed_counts(vertex_masks, lo, hi, code):
+    """Per vertex v, |cat(t) ∩ cat(v)| for every target t in [lo, hi), packed
+    little-endian into one int with field t - lo of the array ``code``'s
+    width. The block's own rows are symmetric, so only half of them are
+    popcounted."""
+    targets = vertex_masks[lo:hi]
+    size = hi - lo
+    square = array(code, bytes(size * size * array(code).itemsize))
+    for i, m in enumerate(targets):
+        row = array(code, map(int.bit_count, map(m.__and__, targets[i:])))
+        square[i * size + i:(i + 1) * size] = row
+        square[i * size + i::size] = row
+    packed = []
+    for v, m in enumerate(vertex_masks):
+        if lo <= v < hi:
+            row = square[(v - lo) * size:(v - lo + 1) * size]
+        else:
+            row = array(code, map(int.bit_count, map(m.__and__, targets)))
+        if sys.byteorder == "big":
+            row.byteswap()
+        packed.append(int.from_bytes(row, "little"))
+    return packed
+
+
+def _next_hops(adjacency, packed, size, width):
+    """``into[v]``: the ``(u, mask)`` pairs in which ``mask`` holds the targets
+    (bit t - lo) whose next hop from ``u`` is ``v``.
+
+    ``routing._step``'s rule runs for all targets at once. Each field holds a
+    count below 2^(width-1), so its top bit is a free guard:
+    ``((c_v | guard) - ones - best) & guard`` fires exactly the fields in
+    which ``v`` shares strictly more than the best so far, with no borrow
+    between fields, and those fields of ``best`` take ``v``'s count. Adjacency
+    is sorted, so the last neighbour to fire for a target is its first strict
+    maximum, the smallest id among ties.
+    """
+    ones = ((1 << size * width) - 1) // ((1 << width) - 1)
+    shift = width - 1
+    guard = ones << shift
+    nbytes = size * width // 8
+    step = width // 8
+    raised = [(c | guard) - ones for c in packed]
+    into = [[] for _ in packed]
+    for u, neighbors in enumerate(adjacency):
+        best = packed[u]
+        fired = []
+        for v in neighbors:
+            gt = (raised[v] - best) & guard
+            if gt:
+                best ^= (best ^ packed[v]) & (gt - (gt >> shift))
+                fired.append((v, gt))
+        taken = 0
+        for v, gt in reversed(fired):
+            own = gt & ~taken
+            if own:
+                taken |= gt
+                if own.bit_count() == 1:
+                    mask = 1 << own.bit_length() // width - 1
+                else:
+                    # One byte per field, 0 or 1, read as binary digits.
+                    digits = (own >> shift).to_bytes(nbytes, "little")[::step]
+                    mask = int(digits.translate(_BINARY_DIGITS)[::-1], 2)
+                into[v].append((u, mask))
+    return into
+
+
+def _reached(into, lo, hi):
+    """Route every vertex to the targets in [lo, hi) level by level.
+
+    Returns ``(reached, arrivals)``: the targets (bit t - lo) each vertex's
+    route delivers to, itself included, and the number of pairs delivered in
+    exactly h hops at index h - 1. A route takes h + 1 hops iff its next hop's
+    takes h, so a level pushes only the pairs that arrived at the level
+    before, one AND per next-hop mask into a vertex with fresh arrivals.
+    Each pair arrives once, since a next hop shares strictly more; a pair
+    arriving twice would mean a cycle of next hops, and raises
+    ``InternalCheckError`` instead of looping.
+    """
+    reached = [0] * len(into)
+    fresh = []
+    for t in range(lo, hi):
+        reached[t] = 1 << (t - lo)
+        fresh.append((t, reached[t]))
+    arrived = [0] * len(into)
+    arrivals = []
+    while True:
+        touched = []
+        for v, f in fresh:
+            for u, mask in into[v]:
+                x = mask & f
+                if x:
+                    if not arrived[u]:
+                        touched.append(u)
+                    arrived[u] |= x
+        if not touched:
+            return reached, arrivals
+        fresh = []
+        count = 0
+        for u in touched:
+            x = arrived[u]
+            if x & reached[u]:
+                raise InternalCheckError(f"vertex {u} reached a target twice in the sweep")
+            arrived[u] = 0
+            reached[u] |= x
+            count += x.bit_count()
+            fresh.append((u, x))
+        arrivals.append(count)
+
+
 def _sweep(g, system):
-    """Routing report, max hops and mean hops over all ordered pairs."""
+    """Routing report, max hops and mean hops over all ordered pairs.
+
+    Targets are settled ``_BLOCK`` at a time: pack every vertex's shared
+    counts with the block, take every next hop toward the block from one
+    pass over the adjacency, then route all sources to all of the block's
+    targets level by level. A route's hop count is its level, and the first
+    failing pair is the smallest source with a missing target, merged over
+    blocks by source first.
+    """
     _check_universe(g, system)
     n = g.n
-    adjacency = g.adjacency
     vm = system.vertex_masks
-    worst = None
-    max_hops = 0
-    total_hops = 0
-    delivered = 0
-    for t in range(n):
-        _, nxt, depth = _forest(adjacency, vm, t)
-        # Every delivered source is at least one hop away; t itself reads 0.
-        hops = [d for d in depth if d > 0]
-        if hops:
-            delivered += len(hops)
-            total_hops += sum(hops)
-            max_hops = max(max_hops, max(hops))
-        if len(hops) < n - 1:
-            s = depth.index(-1)
-            if worst is None or s < worst[0]:
-                stuck = s
-                while nxt[stuck] is not None:
-                    stuck = nxt[stuck]
-                worst = (s, t, stuck)
-    if worst is None:
+    memdim = max(map(int.bit_count, vm), default=0)
+    width = next(w for w in _WIDTHS if memdim < 1 << (w - 1))
+    code = next(c for c in "BHILQ" if array(c).itemsize * 8 == width)
+    first = None
+    max_hops = total_hops = delivered = 0
+    for lo in range(0, n, _BLOCK):
+        hi = min(n, lo + _BLOCK)
+        packed = _packed_counts(vm, lo, hi, code)
+        reached, arrivals = _reached(_next_hops(g.adjacency, packed, hi - lo, width), lo, hi)
+        for hops, count in enumerate(arrivals, 1):
+            total_hops += hops * count
+            delivered += count
+        max_hops = max(max_hops, len(arrivals))
+        full = (1 << (hi - lo)) - 1
+        source = next((v for v, r in enumerate(reached) if r != full), None)
+        if source is not None:
+            missing = full & ~reached[source]
+            pair = (source, lo + (missing & -missing).bit_length() - 1)
+            if first is None or pair < first:
+                first = pair
+    if first is None:
         report = PropertyReport(ALL_PAIRS_ROUTING, True)
     else:
-        report = PropertyReport(ALL_PAIRS_ROUTING, False, worst)
+        stuck = greedy_route(g, system, *first).stuck_at
+        report = PropertyReport(ALL_PAIRS_ROUTING, False, (*first, stuck))
     mean_hops = total_hops / delivered if delivered else 0.0
     return report, max_hops, mean_hops
 
@@ -239,11 +366,11 @@ def route_statistics(g, system):
     """One sweep over all ordered pairs: the routing report plus hop stats.
 
     Returns ``(report, max_hops, mean_hops)``; the stats cover delivered
-    routes and are what the benchmark records. Each target's next-hop forest
-    (see ``iter_all_pair_routes``) gives every source's verdict at once: a
-    source is delivered iff its route ends at the target, its hop count is
-    its depth in the forest, and a stuck route stops at the root of its tree.
-    The sweep costs O(n (n + m)) time and O(n) memory beyond the inputs.
+    routes and are what the benchmark records. The sweep settles ``_BLOCK``
+    targets at a time (see ``_sweep``): n^2 popcounts, plus O(m) operations
+    on packed ints of ``_BLOCK`` fields per block, plus O(levels * m)
+    operations on ``_BLOCK``-bit masks. Beyond the inputs it holds two packed
+    ints per vertex and at most one ``_BLOCK``-bit mask per directed edge.
     """
     return _sweep(g, system)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from . import graph
 from .errors import GenerationError
 from .graph import Graph
 
@@ -59,11 +60,16 @@ class GeneratorSpec:
 
 
 def generate(spec):
-    """Build the connected graph a spec describes. Deterministic in the seed."""
+    """Build the connected graph a spec describes. Deterministic in the seed.
+
+    A spec above ``graph.MAX_VERTICES`` vertices is refused before any edge
+    is drawn."""
     if spec.family not in FAMILIES:
         raise GenerationError(f"unknown family {spec.family!r}")
     if spec.n < 1:
         raise GenerationError("n must be at least 1")
+    if spec.n > graph.MAX_VERTICES:
+        raise GenerationError(f"n={spec.n} is above the cap of {graph.MAX_VERTICES} vertices")
     rng = random.Random(spec.seed)
     builder = _BUILDERS[spec.family]
     return builder(spec, rng)

@@ -11,16 +11,18 @@ from collections import deque
 
 from .errors import DisconnectedGraphError, ParseError, ValidationError
 
-# The most vertices ``parse_edge_list`` accepts. A ``Graph`` holds a set and
-# a neighbour mask per vertex, so a larger header or vertex id is refused
-# before anything of that size is built. Rebind it to change the cap.
+# The most vertices a ``Graph``, ``parse_edge_list`` or ``generate`` accepts.
+# A ``Graph`` holds a set and a neighbour mask per vertex, so a larger count,
+# header or vertex id is refused before anything of that size is built.
+# Rebind it to change the cap.
 MAX_VERTICES = 1_000_000
 
 
 class Graph:
     """Immutable undirected simple graph.
 
-    Duplicate edges collapse silently; self-loops are rejected.
+    Duplicate edges collapse silently; self-loops are rejected, and so is a
+    vertex count above ``MAX_VERTICES``.
     """
 
     __slots__ = ("n", "adjacency", "neighbor_masks")
@@ -28,6 +30,8 @@ class Graph:
     def __init__(self, n, edges=()):
         if n < 0:
             raise ValidationError("vertex count must be non-negative")
+        if n > MAX_VERTICES:
+            raise ValidationError(f"vertex count {n} is above the cap of {MAX_VERTICES}")
         neighbor_sets = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

@@ -79,6 +79,49 @@ class TestCsvOutput:
         assert _csv_without_millis(first) == _csv_without_millis(second)
 
 
+# run_benchmark's CSV without construct_millis, for one seeded spec per
+# family at n = 100 and n = 500. Any change to a verdict, a hop figure, the
+# root choice or the constructed sets fails here.
+PINNED_SPECS = [
+    GeneratorSpec(family, n, seed, params)
+    for seed, family, small, large in (
+        (200, "gnp-connected", {"p": 0.06}, {"p": 0.012}),
+        (201, "random-tree", {}, {}),
+        (202, "path", {}, {}),
+        (203, "cycle", {}, {}),
+        (204, "grid", {}, {}),
+        (205, "star", {}, {}),
+        (206, "complete", {}, {}),
+        (207, "watts-strogatz", {"k": 4, "beta": 0.2}, {"k": 4, "beta": 0.2}),
+    )
+    for n, params in ((100, small), (500, large))
+]
+PINNED_ROWS = (
+    "seed,family,n,m,diam,memdim,all_pairs_ok,max_route_len,mean_route_len,ratio",
+    "200,gnp-connected,100,305,5,72,true,9,3.7908,0.531054",
+    "200,gnp-connected,500,1450,7,125,true,12,5.8356,0.490376",
+    "201,random-tree,100,99,13,69,true,13,5.9735,0.178812",
+    "201,random-tree,500,499,22,160,true,22,8.9751,0.166861",
+    "202,path,100,99,99,725,true,99,33.6667,0.064961",
+    "202,path,500,499,499,16125,true,499,167.0000,0.062493",
+    "203,cycle,100,100,50,725,true,98,33.1717,0.225960",
+    "203,cycle,500,500,250,16125,true,498,166.5010,0.240445",
+    "204,grid,100,180,18,90,true,19,7.5939,0.148192",
+    "204,grid,500,955,43,329,true,44,17.4680,0.121832",
+    "205,star,100,99,2,256,true,2,1.9800,3.426296",
+    "205,star,500,499,2,1063,true,2,1.9960,8.840033",
+    "206,complete,100,4950,1,256,true,1,1.0000,4.381421",
+    "206,complete,500,124750,1,1063,true,1,1.0000,10.703118",
+    "207,watts-strogatz,100,200,9,65,true,12,5.7123,0.265599",
+    "207,watts-strogatz,500,1000,13,132,true,19,8.9603,0.273578",
+)
+
+
+def test_csv_is_pinned():
+    rows = _csv_without_millis(run_benchmark(PINNED_SPECS))
+    assert [",".join(cells) for cells in rows] == list(PINNED_ROWS)
+
+
 class TestSpecsFromJson:
     def test_list_form(self):
         specs = specs_from_json([{"family": "path", "n": 4}])

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catroute import (
@@ -20,13 +20,14 @@ from catroute import (
     tree_categories,
     verify_all_pairs_routing,
 )
+from catroute import checks
 from catroute.checks import (
     ALL_PAIRS_ROUTING,
     INTERNALLY_CONNECTED,
     PropertyReport,
     _uncertified,
 )
-from catroute.errors import ValidationError
+from catroute.errors import InternalCheckError, ValidationError
 from catroute.fixtures import counterexample_cycle
 from catroute.graph import bfs_spanning_tree
 
@@ -492,6 +493,83 @@ def test_sweep_matches_walk_oracle_without_categories():
     g = Graph(2, [(0, 1)])
     _assert_sweep_matches_walk_oracle(g, CategorySystem(2, []))
     assert verify_all_pairs_routing(g, CategorySystem(2, [])).witness == (0, 1, 0)
+
+
+def _field_width_instance(universe, drop):
+    """Vertex 0 holds every subset of the universe that contains it but the
+    first ``drop`` in mask order, so memdim is 2^(universe - 1) - drop, and
+    the rest hold 2^(universe - 2) each. On the one edge 0-1 the only
+    delivered pair is (1, 0), and its hop compares vertex 0's full count."""
+    rooted_at_zero = list(range(1, 1 << universe, 2))[drop:]
+    return Graph(universe, [(0, 1)]), CategorySystem.from_masks(universe, rooted_at_zero)
+
+
+@pytest.mark.parametrize(
+    "universe, drop, memdim", [(8, 1, 127), (8, 0, 128), (16, 1, 32767), (16, 0, 32768)]
+)
+def test_sweep_matches_walk_oracle_on_both_sides_of_a_field_width(universe, drop, memdim):
+    g, s = _field_width_instance(universe, drop)
+    assert membership_dimension(s) == memdim
+    _assert_sweep_matches_walk_oracle(g, s)
+    assert route_statistics(g, s)[1:] == (1, 1.0)
+
+
+@pytest.mark.parametrize("drop", [0, 1])
+def test_sweep_matches_walk_oracle_on_random_graphs_at_the_first_field_width(drop):
+    # Counts up to 127 or 128, on random graphs with random sets mixed in.
+    rng = seeded(61 + drop)
+    for _ in range(20):
+        g = random_connected_graph(rng, 8)
+        extra = random_category_system(rng, 8).category_masks
+        s = CategorySystem.from_masks(8, [*range(1, 1 << 8, 2)][drop:] + list(extra))
+        _assert_sweep_matches_walk_oracle(g, s)
+
+
+def test_sweep_matches_walk_oracle_on_the_empty_graph():
+    _assert_sweep_matches_walk_oracle(Graph(0), CategorySystem(0, []))
+
+
+def test_sweep_matches_walk_oracle_with_isolated_vertices():
+    _assert_sweep_matches_walk_oracle(Graph(4), CategorySystem(4, [(0, 1), (2,)]))
+    rng = seeded(67)
+    for _ in range(30):
+        n = rng.randint(2, 14)
+        core = rng.sample(range(n), rng.randint(1, n))
+        edges = [(core[rng.randrange(i)], core[i]) for i in range(1, len(core))]
+        _assert_sweep_matches_walk_oracle(Graph(n, edges), random_category_system(rng, n))
+
+
+def test_sweep_matches_walk_oracle_across_two_blocks_of_targets():
+    # Targets are settled 512 at a time. The path 500-505-...-520 crosses
+    # from the first block into the second; it routes on its prefix and
+    # suffix sets, so hop counts of 1 to 4 arrive in both blocks. The other
+    # vertices are isolated.
+    path = [500, 505, 510, 515, 520]
+    sets = [path[:i] for i in range(1, 6)] + [path[i:] for i in range(1, 5)]
+    g = Graph(521, zip(path, path[1:]))
+    assert checks._BLOCK < g.n
+    _assert_sweep_matches_walk_oracle(g, CategorySystem(521, sets))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_instances(), st.integers(min_value=1, max_value=7))
+@example((path_graph(3), CategorySystem(3, [(1,)])), 1)
+def test_sweep_matches_walk_oracle_in_small_blocks_of_targets(pair, block):
+    # Several blocks on small instances: the first failing pair has the
+    # smallest source, whichever block its target is in. In the example,
+    # (0, 2) fails first, while the block of target 0 has the failing pair
+    # (1, 0).
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "_BLOCK", block)
+        _assert_sweep_matches_walk_oracle(*pair)
+
+
+def test_a_cycle_of_next_hops_is_an_internal_error():
+    # 0 and 1 name each other as the next hop toward target 0, so the pair
+    # (0, 0) arrives again two levels on; without the check the levels
+    # would never end.
+    with pytest.raises(InternalCheckError):
+        checks._reached([[(1, 0b1)], [(0, 0b1)]], 0, 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 import pytest
 
+from catroute import generators
+from catroute import graph as graph_module
 from catroute import (
     GenerationError,
     GeneratorSpec,
@@ -83,6 +85,21 @@ class TestErrors:
     def test_n_must_be_positive(self):
         with pytest.raises(GenerationError):
             generate(GeneratorSpec("path", 0))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_n_above_the_vertex_cap_fails_before_any_graph_is_built(self, monkeypatch, family):
+        def refuse(*args, **kwargs):
+            raise AssertionError("graph built past the vertex cap")
+
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 10)
+        monkeypatch.setattr(generators, "Graph", refuse)
+        with pytest.raises(GenerationError) as err:
+            generate(GeneratorSpec(family, 11, params={"p": 0.5}))
+        assert str(err.value) == "n=11 is above the cap of 10 vertices"
+
+    def test_n_at_the_vertex_cap_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 10)
+        assert generate(GeneratorSpec("grid", 10)).n == 10
 
     def test_cycle_too_small(self):
         with pytest.raises(GenerationError):

@@ -58,6 +58,17 @@ class TestGraphType:
         with pytest.raises(ValidationError):
             Graph(-1)
 
+    def test_vertex_count_above_cap_fails_before_the_edges_are_read(self, monkeypatch):
+        def edges():
+            raise AssertionError("edges read past the vertex cap")
+            yield
+
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 10)
+        with pytest.raises(ValidationError) as err:
+            Graph(11, edges())
+        assert str(err.value) == "vertex count 11 is above the cap of 10"
+        assert Graph(10, [(0, 9)]).n == 10
+
 
 class TestParseEdgeList:
     def test_smallest_path(self):
