@@ -4,13 +4,25 @@ Each category is stored as a bitmask over the vertex universe, and each vertex
 carries a bitmask over category indices, so the routing distance (a set
 difference size) is a single popcount either way.
 
-Both constructors share one canonicalisation. Duplicate sets collapse before
-any per-member work; each distinct category's ascending member tuple is made
-once (from the mask, a step per non-zero byte and per member; from a member
-list, one C-level sort) and the ``(members, mask)`` pairs are sorted by member
-tuple. The vertex masks are the transpose: every category index is scattered
-into one byte row per vertex, and each row becomes an int once, so no k-bit
-int is rebuilt per membership.
+All three constructors reduce their input to the distinct category masks and
+share one canonicalisation that works on masks alone:
+
+* **Order.** A mask m with h = m.bit_length() sorts by the key
+  ``(R(m ^ (2^h - 1)), h)``, R reversing the bits over the universe's
+  ``8 * ceil(n / 8)`` bits (the mask's little-endian bytes, each byte
+  bit-reversed, read as a big-endian byte string). The lowest bit where two
+  masks differ decides: the set holding it sorts first unless the other set
+  has no member above it. That is the lexicographic order of the ascending
+  member tuples, a prefix first; the empty mask gets the least key.
+* **Transpose.** The vertex masks come from 8x8 bit-matrix transposes:
+  each group of 8 sorted masks is interleaved byte by byte into 8-byte lanes,
+  three delta swaps transpose every lane of a tile of groups on one int, and
+  byte v of the result is vertex v's byte for that group. This costs
+  O(k * n / 8) byte operations for k categories, all in C, where a
+  per-membership scatter costs one Python step per membership.
+* **Member tuples on first read.** ``categories`` is built from the masks
+  when first read, so construction, routing and the membership dimension
+  never make one Python int per membership.
 
 Interchange format, shared by the CLI subcommands:
 
@@ -22,7 +34,7 @@ with the outer list in canonical order (lexicographic by member list).
 from __future__ import annotations
 
 import json
-from itertools import compress, count
+from itertools import compress, repeat
 from operator import index
 
 from .errors import ParseError, ValidationError
@@ -30,13 +42,39 @@ from .errors import ParseError, ValidationError
 
 # The set bit positions of each byte value, ascending.
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+# Each byte value with its bits in reverse order.
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# The delta swaps (shift, lane mask) that transpose an 8x8 bit matrix held in
+# a 64-bit lane, row r in byte r.
+_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+# Groups of 8 categories transposed together on one int. Each vertex's bytes
+# of a tile are one strided slice, so a smaller tile keeps the slices' cache
+# lines warm from one vertex to the next, and holds less memory at once; a
+# larger one takes fewer slices per vertex.
+_TILE = 128
+
+
+def _member_tuples(masks, size):
+    """Ascending member tuple of each non-negative mask below ``2**size``.
+
+    Only non-zero bytes and members take Python steps: ``compress`` skips the
+    zero bytes in C over one table of each byte's 8 member ids, and one
+    ``translate`` that deletes the zeros yields the non-zero byte values. The
+    tuples share the table's int objects, one per vertex id.
+    """
+    octets = [tuple(range(j, j + 8)) for j in range(0, size, 8)]
+    bits = _BYTE_BITS
+    tuples = []
+    for mask in masks:
+        data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+        nonzero = data.translate(None, b"\0")
+        tuples.append(tuple([ids[i] for ids, b in zip(compress(octets, data), nonzero) for i in bits[b]]))
+    return tuples
 
 
 def _members(mask):
-    """Ascending member tuple of a non-negative mask: one step per non-zero
-    byte and one per member, with the zero bytes skipped in C."""
-    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
-    return tuple([8 * j + i for j in compress(count(), data) for i in _BYTE_BITS[data[j]]])
+    """Ascending member tuple of a non-negative mask."""
+    return _member_tuples((mask,), mask.bit_length())[0]
 
 
 def _check_size(n):
@@ -44,27 +82,80 @@ def _check_size(n):
         raise ValidationError("universe size must be non-negative")
 
 
-def _pairs(n, sets):
-    """``(members, mask)`` of each distinct input set, members ascending.
+def _set_masks(n, sets):
+    """The distinct masks of ``sets``.
 
     Sets are range-checked in input order; an out-of-range message names the
     set's first offending member in input order, so ``sets`` must yield
     re-iterable member collections.
     """
-    rows = set()
+    masks = set()
+    width = (max(n, 0) + 7) >> 3
     for members in sets:
-        row = tuple(sorted(set(members)))
-        if row and (row[0] < 0 or row[-1] >= n):
+        if members and (min(members) < 0 or max(members) >= n):
             bad = next(v for v in members if not 0 <= v < n)
             raise ValidationError(f"category member {bad} out of range for n={n}")
-        rows.add(row)
-    pairs = []
-    for row in rows:
-        mask = 0
-        for v in row:
-            mask |= 1 << v
-        pairs.append((row, mask))
-    return pairs
+        row = bytearray(width)
+        for v in members:
+            row[v >> 3] |= 1 << (v & 7)
+        masks.add(int.from_bytes(row, "little"))
+    return masks
+
+
+def _canonical_order(n, masks):
+    """The masks sorted into the lexicographic order of their member tuples."""
+    width = (n + 7) >> 3
+
+    def key(mask):
+        h = mask.bit_length()
+        # Equal-length byte strings compare as big-endian numbers.
+        return (mask ^ ((1 << h) - 1)).to_bytes(width, "little").translate(_REVERSED), h
+
+    return sorted(masks, key=key)
+
+
+def _transpose_tile(tile, width, swaps):
+    """Each group of 8 masks in ``tile`` (``width`` bytes each) transposed.
+
+    Byte b of mask 8q + s goes to byte s of the 8-byte lane b of group q,
+    byte 8 * (q * width + b) + s of one int. The delta ``swaps`` then
+    transpose every lane as an 8x8 bit matrix at once, so byte
+    8 * (q * width + b) + i comes to hold bit 8b + i of the group's 8 masks.
+    """
+    lanes = bytearray(len(tile) * width)
+    for s in range(8):
+        lanes[s::8] = b"".join(map(int.to_bytes, tile[s::8], repeat(width), repeat("little")))
+    x = int.from_bytes(lanes, "little")
+    del lanes
+    for shift, swap in swaps:
+        t = (x ^ (x >> shift)) & swap
+        x ^= t ^ (t << shift)
+    return x.to_bytes(len(tile) * width, "little")
+
+
+def _transpose(n, masks):
+    """Vertex masks of the category ``masks``: bit i of vertex v's mask is set
+    when ``masks[i]`` holds v."""
+    width = (n + 7) >> 3
+    lane = 8 * width  # bytes of one group of 8 masks, interleaved
+    # Empty masks pad the last group; their bits land above bit k - 1.
+    masks = masks + [0] * (-len(masks) % 8)
+    groups = len(masks) >> 3
+    rows = [bytearray(groups) for _ in range(n)]
+    # Lane masks for the largest tile; ANDed with a shorter int they still
+    # select only its own lanes.
+    tile_lanes = width * min(groups, _TILE)
+    swaps = [(shift, int.from_bytes(mask.to_bytes(8, "little") * tile_lanes, "little")) for shift, mask in _SWAPS]
+    for first in range(0, groups, _TILE):
+        tile = masks[8 * first:8 * (first + _TILE)]
+        # Byte q * lane + v is vertex v's byte for group first + q.
+        out = _transpose_tile(tile, width, swaps)
+        end = first + (len(tile) >> 3)
+        for v, row in enumerate(rows):
+            row[first:end] = out[v::lane]
+    # Popped from the back, each row is freed once its int is made.
+    rows.reverse()
+    return tuple([int.from_bytes(rows.pop(), "little") for _ in range(n)])
 
 
 class CategorySystem:
@@ -75,13 +166,13 @@ class CategorySystem:
     witnesses and serializations are stable.
     """
 
-    __slots__ = ("n", "categories", "category_masks", "vertex_masks", "_memdim")
+    __slots__ = ("n", "category_masks", "vertex_masks", "_categories", "_memdim")
 
     def __init__(self, n, sets=()):
         # operator.index turns bools and other int-likes into plain ints, and
         # the tuples keep one-shot member iterables readable for the range
         # check's message.
-        self._setup(n, _pairs(n, (tuple(map(index, members)) for members in sets)))
+        self._setup(n, _set_masks(n, (tuple(map(index, members)) for members in sets)))
 
     @classmethod
     def from_masks(cls, n, masks):
@@ -92,40 +183,37 @@ class CategorySystem:
         unique = set(masks)
         if unique and (min(unique) < 0 or max(unique) >= limit):
             raise ValidationError(f"category mask out of range for n={n}")
-        self._setup(n, [(_members(mask), mask) for mask in unique])
+        self._setup(n, unique)
         return self
 
-    def _setup(self, n, pairs):
-        """Canonical order, member tuples, masks and the vertex-side transpose
-        from the ``(members, mask)`` pairs of distinct sets."""
+    def _setup(self, n, masks):
+        """Canonical order, masks and the vertex-side transpose from the
+        distinct category masks."""
         _check_size(n)
-        # Member tuples are distinct, so the sort never compares masks, and
-        # an empty set, if any, sorts first.
-        pairs.sort()
-        if pairs and not pairs[0][0]:
+        masks = _canonical_order(n, masks)
+        if masks and not masks[0]:
             raise ValidationError("empty categories are not allowed")
         self.n = n
-        self.categories = tuple(members for members, _ in pairs)
-        self.category_masks = tuple(mask for _, mask in pairs)
-        rows = [bytearray((len(pairs) + 7) >> 3) for _ in range(n)]
-        for i, members in enumerate(self.categories):
-            byte = i >> 3
-            bit = 1 << (i & 7)
-            for v in members:
-                rows[v][byte] |= bit
-        # Popped from the back, each row is freed once its int is made.
-        rows.reverse()
-        self.vertex_masks = tuple([int.from_bytes(rows.pop(), "little") for _ in range(n)])
+        self.category_masks = tuple(masks)
+        self.vertex_masks = _transpose(n, masks)
+        self._categories = None
         self._memdim = max(map(int.bit_count, self.vertex_masks), default=0)
 
     @property
+    def categories(self):
+        """Each category's ascending member tuple, built on first read."""
+        if self._categories is None:
+            self._categories = tuple(_member_tuples(self.category_masks, self.n))
+        return self._categories
+
+    @property
     def num_categories(self):
-        return len(self.categories)
+        return len(self.category_masks)
 
     def __eq__(self, other):
         if not isinstance(other, CategorySystem):
             return NotImplemented
-        return self.n == other.n and self.categories == other.categories
+        return self.n == other.n and self.category_masks == other.category_masks
 
     def __repr__(self):
         return f"CategorySystem(n={self.n}, categories={self.num_categories})"
@@ -179,11 +267,17 @@ def parse_categories(text, n):
         if not isinstance(members, list) or not set(map(type, members)) <= {int}:
             raise ParseError("each category must be a list of integer vertex ids")
     system = CategorySystem.__new__(CategorySystem)
-    system._setup(n, _pairs(n, sets))
+    system._setup(n, _set_masks(n, sets))
     return system
 
 
 def serialize_categories(system):
-    """Canonical JSON form; parse -> serialize -> parse is the identity."""
-    payload = {"n": system.n, "categories": system.categories}
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    """Canonical JSON form; parse -> serialize -> parse is the identity.
+
+    The text is that of ``json.dumps`` with compact separators, joined from
+    one string per vertex id, so a member costs one lookup in C rather than
+    one int-to-text conversion.
+    """
+    names = list(map(str, range(system.n))).__getitem__
+    rows = ",".join(["[%s]" % ",".join(map(names, members)) for members in system.categories])
+    return '{"n":%d,"categories":[%s]}\n' % (system.n, rows)

@@ -94,10 +94,10 @@ def is_internally_connected(g, system):
     _check_universe(g, system)
     neighbor_masks = g.neighbor_masks
     category_masks = system.category_masks
-    categories = system.categories
     for index in _members(_uncertified(g, system.vertex_masks)):
-        pending = 1 << categories[index][0]
-        unseen = category_masks[index] ^ pending
+        mask = category_masks[index]
+        pending = mask & -mask
+        unseen = mask ^ pending
         while pending and unseen:
             low = pending & -pending
             pending ^= low

@@ -91,10 +91,17 @@ def oracle_distance(system, a, b):
     return len(oracle_cat(system, b) - oracle_cat(system, a))
 
 
+def oracle_memberships(system):
+    """Each vertex's set of category indices, read off the member tuples."""
+    owned = [set() for _ in range(system.n)]
+    for index, members in enumerate(system.categories):
+        for v in members:
+            owned[v].add(index)
+    return owned
+
+
 def oracle_membership_dimension(system):
-    if system.n == 0:
-        return 0
-    return max(len(oracle_cat(system, u)) for u in range(system.n))
+    return max(map(len, oracle_memberships(system)), default=0)
 
 
 def oracle_canonical(n, sets):
@@ -132,25 +139,18 @@ def oracle_shattered(g, system):
     return None
 
 
-def oracle_greedy_step(g, system, u, t):
-    """The neighbor of u strictly closer to t at minimum distance, smallest id
-    among ties, or None; every distance taken from the definition."""
-    here = oracle_distance(system, u, t)
-    closer = [
-        (oracle_distance(system, v, t), v)
-        for v in g.adjacency[u]
-        if oracle_distance(system, v, t) < here
-    ]
+def _oracle_step(g, owned, u, t):
+    """The greedy step over each vertex's category set ``owned``."""
+    here = len(owned[t] - owned[u])
+    closer = [(len(owned[t] - owned[v]), v) for v in g.adjacency[u] if len(owned[t] - owned[v]) < here]
     return min(closer)[1] if closer else None
 
 
-def oracle_greedy_walk(g, system, s, t):
-    """Forward one message from s by the greedy rule, every distance taken from
-    the definition; returns (delivered, hops, last vertex)."""
+def _oracle_walk(g, owned, s, t):
     current = s
     hops = 0
     while current != t:
-        nxt = oracle_greedy_step(g, system, current, t)
+        nxt = _oracle_step(g, owned, current, t)
         if nxt is None:
             return False, hops, current
         current = nxt
@@ -158,17 +158,30 @@ def oracle_greedy_walk(g, system, s, t):
     return True, hops, current
 
 
+def oracle_greedy_step(g, system, u, t):
+    """The neighbor of u strictly closer to t at minimum distance, smallest id
+    among ties, or None; every distance taken from the definition."""
+    return _oracle_step(g, oracle_memberships(system), u, t)
+
+
+def oracle_greedy_walk(g, system, s, t):
+    """Forward one message from s by the greedy rule, every distance taken from
+    the definition; returns (delivered, hops, last vertex)."""
+    return _oracle_walk(g, oracle_memberships(system), s, t)
+
+
 def oracle_all_pairs_routing(g, system):
     """Walk every ordered pair on its own, in lexicographic order; returns
     (first failing (s, t, stuck_at) or None, max hops, mean hops), the hop
     stats over delivered pairs."""
+    owned = oracle_memberships(system)
     witness = None
     hop_counts = []
     for s in range(g.n):
         for t in range(g.n):
             if s == t:
                 continue
-            delivered, hops, last = oracle_greedy_walk(g, system, s, t)
+            delivered, hops, last = _oracle_walk(g, owned, s, t)
             if delivered:
                 hop_counts.append(hops)
             elif witness is None:

@@ -1,8 +1,9 @@
+import copy
 import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catroute import (
@@ -14,10 +15,14 @@ from catroute import (
     category_distance,
     generate,
     graph_categories,
+    greedy_route,
+    is_internally_connected,
     membership_dimension,
     parse_categories,
     serialize_categories,
+    verify_all_pairs_routing,
 )
+from catroute import categories
 from catroute.fixtures import counterexample_cycle
 
 from conftest import (
@@ -128,6 +133,8 @@ class TestConstruction:
             CategorySystem(-1, [])
         with pytest.raises(ValidationError, match="universe size must be non-negative"):
             CategorySystem.from_masks(-1, [])
+        with pytest.raises(ValidationError, match="universe size must be non-negative"):
+            parse_categories('{"n":-1,"categories":[]}', -1)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValidationError, match="empty categories are not allowed"):
@@ -339,3 +346,82 @@ def test_canonical_bytes_are_pinned(family, n, seed, params, digest):
     text = serialize_categories(system)
     assert text == _row_list_json(system)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _member_tuple(mask, n):
+    return tuple(v for v in range(n) if mask >> v & 1)
+
+
+@st.composite
+def _mask_families(draw):
+    """Distinct masks, the empty one included, in a drawn order over small
+    universes on both sides of a byte and a 64-bit word: random sets, prefix
+    chains (runs 0..j-1 and the prefixes of drawn sets' member tuples) and
+    nested sets (drawn sets with one member added)."""
+    n = draw(st.sampled_from((0, 1, 7, 8, 9, 63, 64, 65)))
+    sets = [frozenset()]
+    if n:
+        member = st.integers(0, n - 1)
+        sets += draw(st.lists(st.frozensets(member, min_size=1, max_size=n), max_size=10))
+        sets += [frozenset(range(j)) for j in draw(st.lists(st.integers(1, n), max_size=4))]
+        for members in draw(st.lists(st.sampled_from(sets), max_size=3)):
+            row = sorted(members)
+            sets += [frozenset(row[:i]) for i in range(1, len(row))]
+        for members in draw(st.lists(st.sampled_from(sets), max_size=4)):
+            sets.append(members | {draw(member)})
+    masks = sorted({sum(1 << v for v in members) for members in sets})
+    return n, draw(st.permutations(masks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mask_families())
+@example((9, [0b111, 0b11, 0b1, 0]))
+@example((65, [1 << 64 | 1, 1 << 64, 1, 0b11]))
+def test_order_key_matches_member_tuple_order(family):
+    n, masks = family
+    ordered = categories._canonical_order(n, masks)
+    assert ordered == sorted(masks, key=lambda mask: _member_tuple(mask, n))
+
+
+@st.composite
+def _many_sets(draw):
+    """Up to 40 raw member lists, so that the distinct count is often not a
+    multiple of 8 and spans several groups of 8."""
+    n = draw(st.one_of(st.integers(1, 20), st.sampled_from((63, 64, 65)), st.integers(250, 300)))
+    member = st.integers(0, n - 1)
+    return n, draw(st.lists(st.lists(member, min_size=1, max_size=8), min_size=1, max_size=40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_many_sets(), st.integers(min_value=1, max_value=3))
+@example((9, [[v % 9, (3 * v) % 9] for v in range(13)]), 1)
+def test_transpose_matches_oracle_over_several_tiles(raw, tile):
+    # With tiles of 1 to 3 groups of 8, small systems run several tiles,
+    # the last one often short.
+    n, sets = raw
+    expected = oracle_canonical(n, sets)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(categories, "_TILE", tile)
+        _assert_matches_oracle(CategorySystem(n, sets), n, expected)
+        masks = [sum(1 << v for v in set(members)) for members in sets]
+        _assert_matches_oracle(CategorySystem.from_masks(n, masks), n, expected)
+
+
+def test_member_tuples_are_built_on_first_read():
+    g = generate(GeneratorSpec("random-tree", 60, 3))
+    system, twin = graph_categories(g), graph_categories(g)
+    assert system.num_categories == twin.num_categories > 0
+    assert system == twin
+    assert membership_dimension(system) > 0
+    assert greedy_route(g, system, 0, g.n - 1).delivered
+    assert is_internally_connected(g, system).holds
+    assert verify_all_pairs_routing(g, system).holds
+    assert system._categories is None and twin._categories is None
+    early = copy.copy(system)
+    assert early._categories is None and early == system
+    built = system.categories
+    assert system._categories is built
+    late = copy.copy(system)
+    assert late.categories is built
+    assert early.categories == built
+    assert greedy_route(g, late, 0, g.n - 1).delivered
