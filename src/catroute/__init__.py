@@ -9,7 +9,6 @@ seeded benchmark workbench and CLI around it all.
 from .bench import bench_one, run_benchmark
 from .categories import (
     CategorySystem,
-    cat,
     category_distance,
     membership_dimension,
     parse_categories,
@@ -75,7 +74,6 @@ __all__ = [
     "bfs_distances",
     "bfs_spanning_tree",
     "binary_tree_categories",
-    "cat",
     "category_distance",
     "check_implications",
     "choose_root",

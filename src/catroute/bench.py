@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from .categories import membership_dimension
 from .checks import route_statistics
 from .construct import tree_categories
-from .errors import DisconnectedGraphError, InternalCheckError, ValidationError
+from .errors import InternalCheckError, ValidationError
 from .generators import GeneratorSpec, generate
-from .graph import _eccentricity_levels, bfs_spanning_tree, disconnected_witness
+from .graph import _eccentricity_levels, bfs_spanning_tree
 
 CSV_HEADER = (
     "seed,family,n,m,diam,memdim,all_pairs_ok,max_route_len,"
@@ -79,9 +79,6 @@ def bench_one(spec):
             f"n={spec.n} exceeds the all-pairs verification cap of {ALL_PAIRS_CAP}"
         )
     g = generate(spec)
-    witness = disconnected_witness(g)
-    if witness is not None:
-        raise DisconnectedGraphError(*witness)
     started = time.perf_counter()
     levels = list(_eccentricity_levels(g))
     system = tree_categories(bfs_spanning_tree(g, levels[0][1][0]))

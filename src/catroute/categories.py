@@ -85,12 +85,14 @@ def _check_size(n):
 def _set_masks(n, sets):
     """The distinct masks of ``sets``.
 
-    Sets are range-checked in input order; an out-of-range message names the
-    set's first offending member in input order, so ``sets`` must yield
-    re-iterable member collections.
+    The size is checked before any set is read. Sets are range-checked in
+    input order; an out-of-range message names the set's first offending
+    member in input order, so ``sets`` must yield re-iterable member
+    collections.
     """
+    _check_size(n)
     masks = set()
-    width = (max(n, 0) + 7) >> 3
+    width = (n + 7) >> 3
     for members in sets:
         if members and (min(members) < 0 or max(members) >= n):
             bad = next(v for v in members if not 0 <= v < n)
@@ -166,7 +168,7 @@ class CategorySystem:
     witnesses and serializations are stable.
     """
 
-    __slots__ = ("n", "category_masks", "vertex_masks", "_categories", "_memdim")
+    __slots__ = ("n", "category_masks", "vertex_masks", "_categories")
 
     def __init__(self, n, sets=()):
         # operator.index turns bools and other int-likes into plain ints, and
@@ -189,7 +191,6 @@ class CategorySystem:
     def _setup(self, n, masks):
         """Canonical order, masks and the vertex-side transpose from the
         distinct category masks."""
-        _check_size(n)
         masks = _canonical_order(n, masks)
         if masks and not masks[0]:
             raise ValidationError("empty categories are not allowed")
@@ -197,7 +198,6 @@ class CategorySystem:
         self.category_masks = tuple(masks)
         self.vertex_masks = _transpose(n, masks)
         self._categories = None
-        self._memdim = max(map(int.bit_count, self.vertex_masks), default=0)
 
     @property
     def categories(self):
@@ -219,16 +219,9 @@ class CategorySystem:
         return f"CategorySystem(n={self.n}, categories={self.num_categories})"
 
 
-def cat(system, u):
-    """Indices of the categories containing vertex ``u``, ascending."""
-    if not (0 <= u < system.n):
-        raise ValidationError(f"vertex {u} out of range for n={system.n}")
-    return _members(system.vertex_masks[u])
-
-
 def membership_dimension(system):
     """Maximum number of categories any one vertex belongs to (0 if none)."""
-    return system._memdim
+    return max(map(int.bit_count, system.vertex_masks), default=0)
 
 
 def category_distance(system, a, b):

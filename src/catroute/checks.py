@@ -12,7 +12,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .categories import _members
+from .categories import _members, membership_dimension
 from .errors import InternalCheckError
 from .graph import is_tree
 from .routing import RouteTrace, _check_universe, greedy_route
@@ -142,65 +142,6 @@ def is_shattered(g, system):
     return PropertyReport(SHATTERED, False, min(pairs))
 
 
-def _forest(adjacency, vertex_masks, t):
-    """Greedy forwarding toward ``t`` from every vertex at once, the trace
-    source of ``iter_all_pair_routes``.
-
-    Returns ``(shared, nxt, depth)``: how many of ``t``'s categories each
-    vertex holds (its distance to ``t`` is ``shared[t] - shared[v]``), its
-    next hop toward ``t`` (None where it is stuck, and at ``t``), and its hop
-    count to ``t`` (-1 where its route gets stuck). The step rule is
-    ``routing._step``'s, read off precomputed counts; adjacency is sorted, so
-    ``max`` keeps the smallest id among ties. A next hop shares strictly more,
-    so the next hops form a forest whose roots are ``t`` and the stuck
-    vertices, and visiting vertices in decreasing shared count reaches every
-    next hop before the vertices that forward to it.
-    """
-    vt = vertex_masks[t]
-    shared = [(vt & m).bit_count() for m in vertex_masks]
-    at = shared.__getitem__
-    n = len(shared)
-    nxt = [None] * n
-    depth = [-1] * n
-    depth[t] = 0
-    for u in sorted(range(n), key=at, reverse=True):
-        neighbors = adjacency[u]
-        if neighbors:
-            v = max(neighbors, key=at)
-            if shared[v] > shared[u]:
-                nxt[u] = v
-                if depth[v] >= 0:
-                    depth[u] = depth[v] + 1
-    return shared, nxt, depth
-
-
-def iter_all_pair_routes(g, system):
-    """Yield the greedy route trace for every ordered pair, grouped by target.
-
-    Each target's next-hop forest is built once, in O(n + m) time and O(n)
-    memory, and every route toward it is read off by following next-hop
-    pointers, so a full sweep costs O(n (n + m)) plus the length of the
-    traces it yields. The traces equal ``greedy_route``'s.
-    """
-    _check_universe(g, system)
-    adjacency = g.adjacency
-    vm = system.vertex_masks
-    for t in range(g.n):
-        shared, nxt, _ = _forest(adjacency, vm, t)
-        dist = [shared[t] - s for s in shared]
-        for source in range(g.n):
-            if source == t:
-                continue
-            path = [source]
-            current = nxt[source]
-            while current is not None:
-                path.append(current)
-                current = nxt[current]
-            yield RouteTrace(
-                source, t, tuple(path), tuple(map(dist.__getitem__, path)), path[-1] == t
-            )
-
-
 def _packed_counts(vertex_masks, lo, hi, code):
     """Per vertex v, |cat(t) ∩ cat(v)| for every target t in [lo, hi), packed
     little-endian into one int with field t - lo of the array ``code``'s
@@ -267,6 +208,21 @@ def _next_hops(adjacency, packed, size, width):
     return into
 
 
+def _blocks(g, system):
+    """Yield ``(lo, hi, into)`` for each block of ``_BLOCK`` targets [lo, hi):
+    ``into`` is ``_next_hops``' table toward the block, from every vertex's
+    shared counts with the block packed into fields wide enough for the
+    membership dimension. Checks the universe on the first ``next()``."""
+    _check_universe(g, system)
+    vm = system.vertex_masks
+    memdim = membership_dimension(system)
+    width = next(w for w in _WIDTHS if memdim < 1 << (w - 1))
+    code = next(c for c in "BHILQ" if array(c).itemsize * 8 == width)
+    for lo in range(0, g.n, _BLOCK):
+        hi = min(g.n, lo + _BLOCK)
+        yield lo, hi, _next_hops(g.adjacency, _packed_counts(vm, lo, hi, code), hi - lo, width)
+
+
 def _reached(into, lo, hi):
     """Route every vertex to the targets in [lo, hi) level by level.
 
@@ -313,25 +269,15 @@ def _reached(into, lo, hi):
 def _sweep(g, system):
     """Routing report, max hops and mean hops over all ordered pairs.
 
-    Targets are settled ``_BLOCK`` at a time: pack every vertex's shared
-    counts with the block, take every next hop toward the block from one
-    pass over the adjacency, then route all sources to all of the block's
-    targets level by level. A route's hop count is its level, and the first
-    failing pair is the smallest source with a missing target, merged over
-    blocks by source first.
+    Each block of targets from ``_blocks`` is routed from all sources level
+    by level. A route's hop count is its level, and the first failing pair is
+    the smallest source with a missing target, merged over blocks by source
+    first.
     """
-    _check_universe(g, system)
-    n = g.n
-    vm = system.vertex_masks
-    memdim = max(map(int.bit_count, vm), default=0)
-    width = next(w for w in _WIDTHS if memdim < 1 << (w - 1))
-    code = next(c for c in "BHILQ" if array(c).itemsize * 8 == width)
     first = None
     max_hops = total_hops = delivered = 0
-    for lo in range(0, n, _BLOCK):
-        hi = min(n, lo + _BLOCK)
-        packed = _packed_counts(vm, lo, hi, code)
-        reached, arrivals = _reached(_next_hops(g.adjacency, packed, hi - lo, width), lo, hi)
+    for lo, hi, into in _blocks(g, system):
+        reached, arrivals = _reached(into, lo, hi)
         for hops, count in enumerate(arrivals, 1):
             total_hops += hops * count
             delivered += count
@@ -367,12 +313,53 @@ def route_statistics(g, system):
 
     Returns ``(report, max_hops, mean_hops)``; the stats cover delivered
     routes and are what the benchmark records. The sweep settles ``_BLOCK``
-    targets at a time (see ``_sweep``): n^2 popcounts, plus O(m) operations
-    on packed ints of ``_BLOCK`` fields per block, plus O(levels * m)
-    operations on ``_BLOCK``-bit masks. Beyond the inputs it holds two packed
-    ints per vertex and at most one ``_BLOCK``-bit mask per directed edge.
+    targets at a time (see ``_blocks`` and ``_sweep``): n^2 popcounts, plus
+    O(m) operations on packed ints of ``_BLOCK`` fields per block, plus
+    O(levels * m) operations on ``_BLOCK``-bit masks. Beyond the inputs it
+    holds two packed ints per vertex and at most one ``_BLOCK``-bit mask per
+    directed edge.
     """
     return _sweep(g, system)
+
+
+def iter_all_pair_routes(g, system):
+    """Yield the greedy route trace for every ordered pair, targets ascending,
+    then sources ascending.
+
+    The next hops come from the sweep's kernel (``_blocks``): each
+    ``(u, mask)`` in ``into[v]`` sets ``v`` as ``u``'s next hop toward every
+    target in ``mask``, one table of n entries per target of the block, and
+    every route is read off by following those pointers. Beyond the sweep's
+    cost, a block holds ``_BLOCK * n`` next-hop entries, and a full run costs
+    n^2 popcounts for the distances plus the length of the traces it yields.
+    The traces equal ``greedy_route``'s.
+    """
+    vm = system.vertex_masks
+    n = g.n
+    for lo, hi, into in _blocks(g, system):
+        hops = [[None] * n for _ in range(lo, hi)]
+        for v, pairs in enumerate(into):
+            for u, mask in pairs:
+                while mask:
+                    low = mask & -mask
+                    hops[low.bit_length() - 1][u] = v
+                    mask ^= low
+        for t in range(lo, hi):
+            nxt = hops[t - lo]
+            vt = vm[t]
+            total = vt.bit_count()
+            dist = [total - (vt & m).bit_count() for m in vm]
+            for source in range(n):
+                if source == t:
+                    continue
+                path = [source]
+                current = nxt[source]
+                while current is not None:
+                    path.append(current)
+                    current = nxt[current]
+                yield RouteTrace(
+                    source, t, tuple(path), tuple(map(dist.__getitem__, path)), path[-1] == t
+                )
 
 
 @dataclass(frozen=True)

@@ -210,8 +210,11 @@ def _eccentricity_levels(g):
     the level at which its ball becomes the whole vertex set, and it then
     leaves the sweep. A level costs one n-bit OR per adjacency entry of a
     vertex still in the sweep, so the sweep runs O(diam * m) big-int ORs, and
-    its two lists of balls hold about 2 * n^2 / 8 bytes at peak. Requires a
-    connected graph with n >= 1.
+    its two lists of balls hold about 2 * n^2 / 8 bytes at peak. Requires
+    n >= 1. On a connected graph vertex 0's ball grows at every level until
+    some vertex is full, so a level at which it stops growing while no vertex
+    is full raises ``DisconnectedGraphError(0, v)``, v the lowest vertex
+    missing from the ball: the one ``disconnected_witness`` names.
     """
     n = g.n
     full = (1 << n) - 1
@@ -236,6 +239,9 @@ def _eccentricity_levels(g):
                 done.append(v)
             else:
                 still.append(v)
+        if len(still) == n and cur[0] == prev[0]:
+            missing = full ^ cur[0]
+            raise DisconnectedGraphError(0, (missing & -missing).bit_length() - 1)
         # The lists swap roles, so from level k + 2 on a vertex full at level
         # k has a stale ball in the list being read. Only its neighbours read
         # it, and they are full by level k + 1 and out of the sweep.
@@ -250,9 +256,6 @@ def diameter(g):
     sweep over all sources (see ``_eccentricity_levels`` for its cost)."""
     if g.n == 0:
         raise ValidationError("diameter of an empty graph is undefined")
-    witness = disconnected_witness(g)
-    if witness is not None:
-        raise DisconnectedGraphError(*witness)
     return max(k for k, _ in _eccentricity_levels(g))
 
 
@@ -260,21 +263,18 @@ def choose_root(g, max_degree=None):
     """Deterministic root choice: minimum eccentricity, ties by smallest id.
 
     With ``max_degree`` set, only vertices of at most that degree are
-    candidates; a connected graph is required either way. The reach sweep
-    (see ``_eccentricity_levels``) stops at the first level where a candidate
-    is full, so it runs radius levels rather than diameter levels.
+    candidates; a connected graph is required either way, and disconnection
+    is reported before a constraint no vertex meets. The reach sweep (see
+    ``_eccentricity_levels``) stops at the first level where a candidate is
+    full, so it runs radius levels rather than diameter levels.
     """
     if g.n == 0:
         raise ValidationError("cannot choose a root in an empty graph")
-    witness = disconnected_witness(g)
-    if witness is not None:
-        raise DisconnectedGraphError(*witness)
-    if max_degree is not None and all(g.degree(v) > max_degree for v in range(g.n)):
-        raise ValidationError(f"no vertex of degree <= {max_degree}")
     for _, vertices in _eccentricity_levels(g):
         for v in vertices:
             if max_degree is None or g.degree(v) <= max_degree:
                 return v
+    raise ValidationError(f"no vertex of degree <= {max_degree}")
 
 
 class RootedTree:

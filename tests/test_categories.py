@@ -11,7 +11,6 @@ from catroute import (
     GeneratorSpec,
     ParseError,
     ValidationError,
-    cat,
     category_distance,
     generate,
     graph_categories,
@@ -23,6 +22,7 @@ from catroute import (
     verify_all_pairs_routing,
 )
 from catroute import categories
+from catroute.categories import _members
 from catroute.fixtures import counterexample_cycle
 
 from conftest import (
@@ -49,22 +49,18 @@ class TestCat:
     def test_six_element_example(self):
         s = CategorySystem(6, SIX_ELEMENT_SETS)
         u = 0
-        member_sets = {s.categories[i] for i in cat(s, u)}
+        member_sets = {s.categories[i] for i in _members(s.vertex_masks[u])}
         assert member_sets == {(0, 1, 2), (0, 2, 3, 5), (0, 1, 4, 5)}
-        assert len(cat(s, u)) == 3
+        assert len(_members(s.vertex_masks[u])) == 3
 
     def test_empty_system(self):
         s = CategorySystem(3, [])
-        assert all(cat(s, v) == () for v in range(3))
+        assert all(_members(s.vertex_masks[v]) == () for v in range(3))
 
     def test_singleton(self):
         s = CategorySystem(2, [(0,)])
-        assert cat(s, 0) == (0,)
-        assert cat(s, 1) == ()
-
-    def test_out_of_range_vertex(self):
-        with pytest.raises(ValidationError):
-            cat(CategorySystem(2, [(0,)]), 5)
+        assert _members(s.vertex_masks[0]) == (0,)
+        assert _members(s.vertex_masks[1]) == ()
 
 
 class TestMembershipDimension:
@@ -86,7 +82,7 @@ class TestCategoryDistance:
     def test_counterexample_distance(self):
         _, s = counterexample_cycle()
         x = 3
-        assert {s.categories[i] for i in cat(s, x)} == {
+        assert {s.categories[i] for i in oracle_cat(s, x)} == {
             (0, 1, 3),
             (1, 2, 3),
             (2, 3),
@@ -135,6 +131,13 @@ class TestConstruction:
             CategorySystem.from_masks(-1, [])
         with pytest.raises(ValidationError, match="universe size must be non-negative"):
             parse_categories('{"n":-1,"categories":[]}', -1)
+        # The size is checked before any member is range-checked against it.
+        with pytest.raises(ValidationError, match="universe size must be non-negative"):
+            CategorySystem(-1, [[0]])
+        with pytest.raises(ValidationError, match="universe size must be non-negative"):
+            CategorySystem.from_masks(-1, [1])
+        with pytest.raises(ValidationError, match="universe size must be non-negative"):
+            parse_categories('{"n":-1,"categories":[[0]]}', -1)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValidationError, match="empty categories are not allowed"):
@@ -171,7 +174,7 @@ class TestConstruction:
     def test_membership_index_matches_categories(self):
         s = CategorySystem(6, SIX_ELEMENT_SETS)
         for v in range(6):
-            assert set(cat(s, v)) == {
+            assert set(_members(s.vertex_masks[v])) == {
                 i for i, members in enumerate(s.categories) if v in members
             }
 

@@ -476,6 +476,10 @@ def _assert_sweep_matches_walk_oracle(g, s):
     assert report.holds == (witness is None)
     assert (got_max, got_mean) == (max_hops, mean_hops)
     assert verify_all_pairs_routing(g, s) == report
+    # The traces read off the same kernel, trace by trace, in their order.
+    assert list(iter_all_pair_routes(g, s)) == [
+        greedy_route(g, s, src, t) for t in range(g.n) for src in range(g.n) if src != t
+    ]
 
 
 @settings(max_examples=60, deadline=None)

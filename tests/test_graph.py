@@ -222,6 +222,13 @@ class TestChooseRoot:
         with pytest.raises(DisconnectedGraphError):
             choose_root(Graph(3, [(0, 1)]))
 
+    def test_disconnection_is_reported_before_an_unsatisfiable_constraint(self):
+        # Two triangles: no vertex has degree <= 1, and none reaches across.
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        with pytest.raises(DisconnectedGraphError) as err:
+            choose_root(g, max_degree=1)
+        assert err.value.unreachable_pair == (0, 3)
+
 
 class TestBfsSpanningTree:
     def test_four_cycle_parent_tie_breaks(self):
