@@ -21,7 +21,7 @@ from .checks import (
     is_shattered,
     verify_all_pairs_routing,
 )
-from .construct import METHODS, construct_categories
+from .construct import construct_categories
 from .errors import GenerationError, InternalCheckError, ParseError, ValidationError
 from .fixtures import run_fixtures
 from .graph import diameter, parse_edge_list
@@ -43,9 +43,8 @@ def build_parser():
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument(
         "--method",
-        default="auto",
-        choices=METHODS,
-        help="construction to use; auto picks the most specific applicable",
+        choices=["auto"],
+        help="accepted for existing command lines; auto is its only value",
     )
     p.add_argument("--out", help="write the category JSON here (default: stdout)")
 
@@ -91,7 +90,7 @@ def _read(path):
 
 def _construct(args):
     g = parse_edge_list(_read(args.graph))
-    return 0, serialize_categories(construct_categories(g, args.method))
+    return 0, serialize_categories(construct_categories(g))
 
 
 def _route(args):

@@ -21,7 +21,8 @@ Three layers, from special to general:
 An arbitrary connected graph takes a BFS spanning tree from a center vertex
 and reuses the tree construction; greedy forwarding on the full graph only
 ever has more options than on the tree, and strict distance decrease still
-guarantees termination. ``construct_categories`` picks one by name.
+guarantees termination. ``construct_categories`` picks the construction
+from the shape of the graph.
 """
 
 from __future__ import annotations
@@ -37,10 +38,7 @@ from .graph import (
     bfs_spanning_tree,
     choose_root,
     is_path,
-    is_tree,
 )
-
-METHODS = ("auto", "path", "binary-tree", "tree", "graph")
 
 
 def path_categories(g):
@@ -175,24 +173,11 @@ def graph_categories(g):
     return tree_categories(bfs_spanning_tree(g, root))
 
 
-def construct_categories(g, method="auto"):
-    """Categories for ``g`` by the construction named ``method``, one of ``METHODS``.
-
-    ``auto`` is ``path`` on a path and ``graph`` elsewhere (on a tree, that is
-    the tree construction). ``tree`` and ``binary-tree`` need a tree;
-    ``binary-tree`` roots it at a center vertex of degree at most two.
-    """
-    if method not in METHODS:
-        raise ValidationError(f"unknown construction method {method!r}")
-    if method == "auto":
-        method = "path" if is_path(g) else "graph"
-    if method in ("binary-tree", "tree") and not is_tree(g):
-        raise ValidationError(f"{method} construction needs a tree")
-    if method == "path":
-        return path_categories(g)
-    if method == "binary-tree":
-        return binary_tree_categories(bfs_spanning_tree(g, choose_root(g, max_degree=2)))
-    return graph_categories(g)
+def construct_categories(g):
+    """Categories for a connected graph ``g``: the exact path construction on a
+    path (membership dimension equal to the diameter), the tree construction
+    on a BFS spanning tree everywhere else."""
+    return path_categories(g) if is_path(g) else graph_categories(g)
 
 
 def impossibility_pair():

@@ -27,6 +27,9 @@ FAMILIES = (
     "watts-strogatz",
 )
 
+# The params each family reads; any other key is a GenerationError.
+_PARAMS = {"gnp-connected": {"p"}, "watts-strogatz": {"k", "beta"}, "grid": {"rows", "cols"}}
+
 _RESAMPLE_LIMIT = 100
 
 
@@ -63,13 +66,16 @@ def generate(spec):
     """Build the connected graph a spec describes. Deterministic in the seed.
 
     A spec above ``graph.MAX_VERTICES`` vertices is refused before any edge
-    is drawn."""
+    is drawn, and so is a param the family does not read."""
     if spec.family not in FAMILIES:
         raise GenerationError(f"unknown family {spec.family!r}")
     if spec.n < 1:
         raise GenerationError("n must be at least 1")
     if spec.n > graph.MAX_VERTICES:
         raise GenerationError(f"n={spec.n} is above the cap of {graph.MAX_VERTICES} vertices")
+    unknown = set(spec.params) - _PARAMS.get(spec.family, set())
+    if unknown:
+        raise GenerationError(f"unknown {spec.family} params: {sorted(unknown)}")
     rng = random.Random(spec.seed)
     builder = _BUILDERS[spec.family]
     return builder(spec, rng)

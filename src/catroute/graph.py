@@ -161,19 +161,8 @@ def bfs_distances(g, source):
     return dist
 
 
-def disconnected_witness(g):
-    """Return a pair of mutually unreachable vertices, or None if connected."""
-    if g.n <= 1:
-        return None
-    dist = bfs_distances(g, 0)
-    for v in range(g.n):
-        if dist[v] is None:
-            return (0, v)
-    return None
-
-
 def is_connected(g):
-    return disconnected_witness(g) is None
+    return g.n <= 1 or None not in bfs_distances(g, 0)
 
 
 def is_tree(g):
@@ -214,7 +203,7 @@ def _eccentricity_levels(g):
     n >= 1. On a connected graph vertex 0's ball grows at every level until
     some vertex is full, so a level at which it stops growing while no vertex
     is full raises ``DisconnectedGraphError(0, v)``, v the lowest vertex
-    missing from the ball: the one ``disconnected_witness`` names.
+    missing from the ball, that is the lowest vertex unreachable from 0.
     """
     n = g.n
     full = (1 << n) - 1
@@ -259,22 +248,16 @@ def diameter(g):
     return max(k for k, _ in _eccentricity_levels(g))
 
 
-def choose_root(g, max_degree=None):
+def choose_root(g):
     """Deterministic root choice: minimum eccentricity, ties by smallest id.
 
-    With ``max_degree`` set, only vertices of at most that degree are
-    candidates; a connected graph is required either way, and disconnection
-    is reported before a constraint no vertex meets. The reach sweep (see
-    ``_eccentricity_levels``) stops at the first level where a candidate is
-    full, so it runs radius levels rather than diameter levels.
+    Requires a connected graph. The reach sweep (see ``_eccentricity_levels``)
+    stops at its first level, where the lowest full vertex is the root, so it
+    runs radius levels rather than diameter levels.
     """
     if g.n == 0:
         raise ValidationError("cannot choose a root in an empty graph")
-    for _, vertices in _eccentricity_levels(g):
-        for v in vertices:
-            if max_degree is None or g.degree(v) <= max_degree:
-                return v
-    raise ValidationError(f"no vertex of degree <= {max_degree}")
+    return next(_eccentricity_levels(g))[1][0]
 
 
 class RootedTree:

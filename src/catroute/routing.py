@@ -14,18 +14,19 @@ and a route validates its endpoints once, not once per hop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class RouteTrace:
+class RouteTrace(NamedTuple):
     """One routing attempt: the vertex path, per-hop distances, and outcome.
 
     ``hop_distances[i]`` is the category distance from ``path[i]`` to the
     target; it is strictly decreasing, which also bounds the hop count by the
-    initial distance.
+    initial distance. A named tuple, because the all-pairs route iterator
+    builds one per ordered pair; it compares equal to a plain tuple of its
+    fields.
     """
 
     source: int

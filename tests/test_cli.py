@@ -38,37 +38,21 @@ class TestConstruct:
         built = parse_categories(out_file.read_text(), 5)
         assert built == path_categories(path_graph(5))
 
-    def test_graph_method_to_stdout(self, tmp_path, capsys):
+    def test_method_auto_is_the_only_accepted_value(self, tmp_path, capsys):
         graph_file = tmp_path / "c.edges"
         graph_file.write_text(COUNTER_EDGES)
-        code = main(["construct", "--graph", str(graph_file), "--method", "graph"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["n"] == 4
-
-    def test_binary_tree_method(self, tmp_path, capsys):
-        graph_file = tmp_path / "t.edges"
-        graph_file.write_text("0 1\n0 2\n1 3\n1 4\n")
-        code = main(["construct", "--graph", str(graph_file), "--method", "binary-tree"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["n"] == 5
-
-    def test_path_method_on_non_path_is_usage_error(self, tmp_path, capsys):
-        graph_file = tmp_path / "c.edges"
-        graph_file.write_text(COUNTER_EDGES)
-        code = main(["construct", "--graph", str(graph_file), "--method", "path"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("method", ["tree", "binary-tree"])
-    def test_tree_method_on_non_tree_is_usage_error(self, tmp_path, capsys, method):
-        graph_file = tmp_path / "c.edges"
-        graph_file.write_text(COUNTER_EDGES)
-        code = main(["construct", "--graph", str(graph_file), "--method", method])
-        assert code == 2
+        plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+        assert main(["construct", "--graph", str(graph_file), "--out", str(plain)]) == 0
+        # The command line perfbench's build-check runs.
+        argv = ["construct", "--graph", str(graph_file), "--method", "auto", "--out", str(flagged)]
+        assert main(argv) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+        with pytest.raises(SystemExit) as err:
+            main(["construct", "--graph", str(graph_file), "--method", "graph"])
+        assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {method} construction needs a tree\n"
+        assert "invalid choice: 'graph'" in captured.err
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["construct", "--graph", "/nonexistent.edges"]) == 2

@@ -12,7 +12,6 @@ from catroute import (
     bfs_distances,
     binary_tree_categories,
     bfs_spanning_tree,
-    choose_root,
     construct_categories,
     diameter,
     embed_into_binary,
@@ -20,13 +19,13 @@ from catroute import (
     greedy_route,
     impossibility_pair,
     is_internally_connected,
+    is_path,
     is_shattered,
     membership_dimension,
     path_categories,
     tree_categories,
     verify_all_pairs_routing,
 )
-from catroute.construct import METHODS
 
 from conftest import (
     complete_graph,
@@ -239,63 +238,39 @@ class TestGraphCategories:
             graph_categories(Graph(3, [(0, 1)]))
 
 
-# The builder calls each method of construct_categories stands for.
-BUILDERS = {
-    "path": path_categories,
-    "binary-tree": lambda g: binary_tree_categories(
-        bfs_spanning_tree(g, choose_root(g, max_degree=2))
-    ),
-    "tree": lambda g: tree_categories(bfs_spanning_tree(g, choose_root(g))),
-    "graph": graph_categories,
-}
+# The builders construct_categories chooses between.
+BUILDERS = {"path": path_categories, "graph": graph_categories}
 
 HUB_TREE = random_tree(seeded(41), 30, skew="hub").graph
 DISPATCH_CASES = [
-    ("auto", path_graph(6), "path"),
-    ("auto", HUB_TREE, "graph"),
-    ("auto", cycle_graph(5), "graph"),
-    ("path", path_graph(6), "path"),
-    ("binary-tree", path_graph(6), "binary-tree"),
-    ("binary-tree", Graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]), "binary-tree"),
-    # The center has three neighbours, so the root is a leaf.
-    ("binary-tree", star_graph(4), "binary-tree"),
-    ("tree", HUB_TREE, "tree"),
-    ("tree", path_graph(6), "tree"),
-    ("graph", cycle_graph(5), "graph"),
-    ("graph", complete_graph(4), "graph"),
-    ("graph", HUB_TREE, "graph"),
+    (path_graph(6), "path"),
+    (HUB_TREE, "graph"),
+    (cycle_graph(5), "graph"),
 ]
 
 
 class TestConstructCategories:
-    def test_every_method_has_a_dispatch_case(self):
-        assert {method for method, _, _ in DISPATCH_CASES} == set(METHODS)
-
-    @pytest.mark.parametrize("method, g, builder", DISPATCH_CASES)
-    def test_method_runs_its_builder(self, method, g, builder):
-        assert construct_categories(g, method) == BUILDERS[builder](g)
+    @pytest.mark.parametrize("g, builder", DISPATCH_CASES)
+    def test_auto_runs_its_builder(self, g, builder):
+        assert construct_categories(g) == BUILDERS[builder](g)
 
     def test_auto_is_the_default(self):
-        for g in (path_graph(6), HUB_TREE, cycle_graph(5)):
-            assert construct_categories(g) == construct_categories(g, "auto")
-
-    @pytest.mark.parametrize("method", ["tree", "binary-tree"])
-    def test_tree_methods_reject_a_cycle(self, method):
-        with pytest.raises(ValidationError, match=f"^{method} construction needs a tree$"):
-            construct_categories(cycle_graph(5), method)
+        # The one rule, on random connected graphs, trees and paths alike.
+        rng = seeded(43)
+        graphs = [random_connected_graph(rng, rng.randint(1, 30)) for _ in range(20)]
+        graphs += [path_graph(n) for n in (2, 3, 9)] + [random_tree(rng, 25).graph]
+        for g in graphs:
+            builder = path_categories if is_path(g) else graph_categories
+            assert construct_categories(g) == builder(g)
 
     def test_binary_tree_rejects_a_vertex_with_three_children(self):
         # Rooted at a leaf, the star's hub keeps three children.
         with pytest.raises(ValidationError, match="more than two children"):
-            construct_categories(star_graph(5), "binary-tree")
+            binary_tree_categories(bfs_spanning_tree(star_graph(5), 1))
 
     def test_path_rejects_a_non_path(self):
         with pytest.raises(ValidationError, match="not a path"):
-            construct_categories(cycle_graph(5), "path")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValidationError, match="unknown construction method 'cycle'"):
-            construct_categories(path_graph(3), "cycle")
+            path_categories(cycle_graph(5))
 
 
 class TestImpossibilityPair:

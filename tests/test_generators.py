@@ -141,11 +141,13 @@ class TestErrors:
             {"family": "grid", "n": 12, "params": {"rows": 3.0, "cols": 4}},
             {"family": "grid", "n": 12, "params": {"rows": 3, "cols": True}},
             {"family": "grid", "n": 12, "params": {"rows": -3, "cols": -4}},
+            {"family": "watts-strogatz", "n": 10, "params": {"K": 6, "beta": 0.2}},
+            {"family": "star", "n": 10, "params": {"p": 0.5}},
         ],
         ids=[
             "family-int", "n-str", "n-float", "n-bool", "seed-null", "seed-float",
             "params-list", "p-str", "p-bool", "k-float", "beta-str", "beta-bool",
-            "rows-float", "cols-bool", "dims-negative",
+            "rows-float", "cols-bool", "dims-negative", "param-misspelt", "param-foreign",
         ],
     )
     def test_malformed_spec_is_a_generation_error(self, payload):
