@@ -19,7 +19,6 @@ from .checks import (
     check_implications,
     is_internally_connected,
     is_shattered,
-    iter_all_pair_routes,
     route_statistics,
     verify_all_pairs_routing,
 )
@@ -28,7 +27,6 @@ from .construct import (
     construct_categories,
     embed_into_binary,
     graph_categories,
-    impossibility_pair,
     path_categories,
     tree_categories,
 )
@@ -39,7 +37,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .fixtures import counterexample_cycle, run_fixtures
+from .fixtures import counterexample_cycle, impossibility_pair, run_fixtures
 from .generators import GeneratorSpec, generate
 from .graph import (
     Graph,
@@ -48,7 +46,6 @@ from .graph import (
     bfs_spanning_tree,
     choose_root,
     diameter,
-    eccentricity,
     is_connected,
     is_path,
     is_tree,
@@ -80,7 +77,6 @@ __all__ = [
     "construct_categories",
     "counterexample_cycle",
     "diameter",
-    "eccentricity",
     "embed_into_binary",
     "format_trace",
     "generate",
@@ -93,7 +89,6 @@ __all__ = [
     "is_path",
     "is_shattered",
     "is_tree",
-    "iter_all_pair_routes",
     "membership_dimension",
     "parse_categories",
     "parse_edge_list",

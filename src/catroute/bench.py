@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .categories import membership_dimension
 from .checks import route_statistics
@@ -22,11 +22,6 @@ from .construct import tree_categories
 from .errors import InternalCheckError, ValidationError
 from .generators import GeneratorSpec, generate
 from .graph import _eccentricity_levels, bfs_spanning_tree
-
-CSV_HEADER = (
-    "seed,family,n,m,diam,memdim,all_pairs_ok,max_route_len,"
-    "mean_route_len,construct_millis,ratio"
-)
 
 ALL_PAIRS_CAP = 500
 
@@ -63,6 +58,9 @@ class BenchRecord:
                 f"{self.ratio:.6f}" if not math.isnan(self.ratio) else "nan",
             )
         )
+
+
+CSV_HEADER = ",".join(field.name for field in fields(BenchRecord))
 
 
 def bench_one(spec):

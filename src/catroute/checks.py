@@ -1,9 +1,11 @@
 """Brute-force verifiers for the structural properties, with concrete witnesses.
 
-Every check is exhaustive over its quantifiers (these are correctness oracles,
-not production paths) and every failed check comes back with a witness that
-can be re-verified in isolation: a disconnected category's index, or the first
-ordered vertex pair, in lexicographic order, for which the property breaks.
+Every check is exhaustive over its quantifiers, and every failed check comes
+back with a witness that can be re-verified in isolation: a disconnected
+category's index, or the first ordered vertex pair, in lexicographic order,
+for which the property breaks. The same sweeps serve the CLI's ``check`` and
+the benchmark, whose ``bench_one`` takes its hop statistics from
+``route_statistics``.
 """
 
 from __future__ import annotations
@@ -198,13 +200,9 @@ def _next_hops(adjacency, packed, size, width):
             own = gt & ~taken
             if own:
                 taken |= gt
-                if own.bit_count() == 1:
-                    mask = 1 << own.bit_length() // width - 1
-                else:
-                    # One byte per field, 0 or 1, read as binary digits.
-                    digits = (own >> shift).to_bytes(nbytes, "little")[::step]
-                    mask = int(digits.translate(_BINARY_DIGITS)[::-1], 2)
-                into[v].append((u, mask))
+                # One byte per field, 0 or 1, read as binary digits.
+                digits = (own >> shift).to_bytes(nbytes, "little")[::step]
+                into[v].append((u, int(digits.translate(_BINARY_DIGITS)[::-1], 2)))
     return into
 
 

@@ -47,6 +47,7 @@ def build_parser():
         help="accepted for existing command lines; auto is its only value",
     )
     p.add_argument("--out", help="write the category JSON here (default: stdout)")
+    p.set_defaults(handler=_construct)
 
     p = sub.add_parser("route", help="greedily route one message")
     p.add_argument("--graph", required=True)
@@ -54,6 +55,7 @@ def build_parser():
     p.add_argument("--from", dest="source", required=True, type=int)
     p.add_argument("--to", dest="target", required=True, type=int)
     p.add_argument("--trace", action="store_true", help="print every hop")
+    p.set_defaults(handler=_route)
 
     p = sub.add_parser("check", help="verify structural properties")
     p.add_argument("--graph", required=True)
@@ -63,6 +65,7 @@ def build_parser():
         default="internal,shattered,all-pairs",
         help="comma list from: internal, shattered, all-pairs",
     )
+    p.set_defaults(handler=_check)
 
     p = sub.add_parser(
         "stats",
@@ -70,12 +73,15 @@ def build_parser():
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--cats")
+    p.set_defaults(handler=_stats)
 
     p = sub.add_parser("bench", help="run generator specs and emit CSV statistics")
     p.add_argument("--spec", required=True, help="JSON list of generator specs")
     p.add_argument("--out", help="CSV output path (default: stdout)")
+    p.set_defaults(handler=_bench)
 
-    sub.add_parser("fixtures", help="re-check the pinned reference instances")
+    p = sub.add_parser("fixtures", help="re-check the pinned reference instances")
+    p.set_defaults(handler=_fixtures)
     return parser
 
 
@@ -169,23 +175,18 @@ def _fixtures(args):
     return (0 if all(outcome.passed for outcome in outcomes) else 1), text
 
 
-# Each handler returns ``(exit code, text)``; ``main`` writes the text, so a
-# call that raises writes nothing to stdout and leaves ``--out`` untouched.
-_HANDLERS = {
-    "construct": _construct,
-    "route": _route,
-    "check": _check,
-    "stats": _stats,
-    "bench": _bench,
-    "fixtures": _fixtures,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code. Each handler returns
+    ``(exit code, text)`` and only this function writes, so a call that
+    raises writes nothing to stdout and leaves ``--out`` untouched. A usage
+    error argparse finds returns 2 (``--help`` and ``--version`` return 0)
+    after argparse has written its message."""
     try:
-        code, text = _HANDLERS[args.command](args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    try:
+        code, text = args.handler(args)
         # Only construct and bench have --out. sys.stdout is looked up here,
         # at call time, so that contextlib.redirect_stdout reaches it.
         out = getattr(args, "out", None)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from .categories import CategorySystem
 from .errors import ValidationError
 from .graph import (
-    Graph,
     RootedTree,
     bfs_distances,
     bfs_spanning_tree,
@@ -178,18 +177,6 @@ def construct_categories(g):
     path (membership dimension equal to the diameter), the tree construction
     on a BFS spanning tree everywhere else."""
     return path_categories(g) if is_path(g) else graph_categories(g)
-
-
-def impossibility_pair():
-    """Two three-vertex chains over the same universe {s, u, t} = {0, 1, 2}
-    that no single category system can serve.
-
-    The first chains s-u-t, the second u-s-t. Routing s to t in the first
-    needs u strictly closer to t than s; routing u to t in the second needs
-    the opposite; so any system delivering all pairs on one is stuck on the
-    other.
-    """
-    return Graph(3, [(0, 1), (1, 2)]), Graph(3, [(1, 0), (0, 2)])
 
 
 def _masks(tree, bit):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .categories import CategorySystem, category_distance
 from .checks import is_internally_connected, is_shattered, verify_all_pairs_routing
-from .construct import graph_categories, impossibility_pair
+from .construct import graph_categories
 from .graph import Graph
 from .routing import greedy_route
 
@@ -33,6 +33,18 @@ def counterexample_cycle():
         ],
     )
     return g, system
+
+
+def impossibility_pair():
+    """Two three-vertex chains over the same universe {s, u, t} = {0, 1, 2}
+    that no single category system can serve.
+
+    The first chains s-u-t, the second u-s-t. Routing s to t in the first
+    needs u strictly closer to t than s; routing u to t in the second needs
+    the opposite; so any system delivering all pairs on one is stuck on the
+    other.
+    """
+    return Graph(3, [(0, 1), (1, 2)]), Graph(3, [(1, 0), (0, 2)])
 
 
 @dataclass(frozen=True)

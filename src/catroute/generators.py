@@ -16,17 +16,6 @@ from . import graph
 from .errors import GenerationError
 from .graph import Graph
 
-FAMILIES = (
-    "gnp-connected",
-    "random-tree",
-    "path",
-    "cycle",
-    "grid",
-    "star",
-    "complete",
-    "watts-strogatz",
-)
-
 # The params each family reads; any other key is a GenerationError.
 _PARAMS = {"gnp-connected": {"p"}, "watts-strogatz": {"k", "beta"}, "grid": {"rows", "cols"}}
 
@@ -253,3 +242,5 @@ _BUILDERS = {
     "complete": _build_complete,
     "watts-strogatz": _build_watts_strogatz,
 }
+
+FAMILIES = tuple(_BUILDERS)

@@ -175,20 +175,6 @@ def is_path(g):
     return g.n >= 2 and all(len(a) <= 2 for a in g.adjacency) and is_tree(g)
 
 
-def eccentricity(g, v):
-    """Max hop distance from v to any vertex, by one BFS. Requires a connected
-    graph. The reach sweep behind ``diameter`` and ``choose_root`` is tested
-    against it."""
-    dist = bfs_distances(g, v)
-    worst = 0
-    for u, d in enumerate(dist):
-        if d is None:
-            raise DisconnectedGraphError(v, u)
-        if d > worst:
-            worst = d
-    return worst
-
-
 def _eccentricity_levels(g):
     """Yield ``(k, vertices of eccentricity k)`` for increasing k, ids ascending.
 

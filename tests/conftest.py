@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from catroute import CategorySystem, Graph, RootedTree
+from catroute import CategorySystem, Graph, RootedTree, bfs_distances
 
 
 def path_graph(n):
@@ -78,6 +78,13 @@ def random_connected_graph(rng, n, extra_edges=None):
 # ---------------------------------------------------------------------------
 # Reference oracles
 # ---------------------------------------------------------------------------
+
+def oracle_eccentricity(g, v):
+    """Max hop distance from v to any vertex, by one BFS. Requires a connected
+    graph; the reach sweep behind ``diameter`` and ``choose_root`` is tested
+    against it."""
+    return max(bfs_distances(g, v))
+
 
 def oracle_sets(system):
     return [set(members) for members in system.categories]

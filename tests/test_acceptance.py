@@ -23,12 +23,12 @@ from catroute import (
     impossibility_pair,
     is_internally_connected,
     is_shattered,
-    iter_all_pair_routes,
     membership_dimension,
     path_categories,
     tree_categories,
     verify_all_pairs_routing,
 )
+from catroute.checks import iter_all_pair_routes
 from catroute.fixtures import counterexample_cycle
 from catroute.generators import GeneratorSpec
 

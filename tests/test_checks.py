@@ -14,7 +14,6 @@ from catroute import (
     greedy_route,
     is_internally_connected,
     is_shattered,
-    iter_all_pair_routes,
     membership_dimension,
     route_statistics,
     tree_categories,
@@ -26,6 +25,7 @@ from catroute.checks import (
     INTERNALLY_CONNECTED,
     PropertyReport,
     _uncertified,
+    iter_all_pair_routes,
 )
 from catroute.errors import InternalCheckError, ValidationError
 from catroute.fixtures import counterexample_cycle

@@ -47,9 +47,7 @@ class TestConstruct:
         argv = ["construct", "--graph", str(graph_file), "--method", "auto", "--out", str(flagged)]
         assert main(argv) == 0
         assert flagged.read_bytes() == plain.read_bytes()
-        with pytest.raises(SystemExit) as err:
-            main(["construct", "--graph", str(graph_file), "--method", "graph"])
-        assert err.value.code == 2
+        assert main(["construct", "--graph", str(graph_file), "--method", "graph"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid choice: 'graph'" in captured.err
@@ -303,6 +301,31 @@ class TestFixturesCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 8
         assert "FAIL" not in out
+
+
+class TestArgparseExits:
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ([], "the following arguments are required: command"),
+            (["check"], "the following arguments are required: --graph, --cats"),
+            (["bogus"], "invalid choice: 'bogus'"),
+            (
+                ["route", "--graph", "g", "--cats", "c", "--from", "x", "--to", "1"],
+                "argument --from: invalid int value: 'x'",
+            ),
+        ],
+    )
+    def test_usage_error_returns_two(self, argv, error, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: catroute")
+        assert error in captured.err
+
+    def test_version_returns_zero(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == "catroute 0.1.0\n"
 
 
 class TestEntryPoint:

@@ -15,6 +15,11 @@ from catroute import (
 from catroute.generators import FAMILIES
 
 
+def test_every_param_table_key_is_a_family():
+    # A misspelt family there would refuse that family's params.
+    assert set(generators._PARAMS) <= set(FAMILIES)
+
+
 class TestShapes:
     def test_path(self):
         g = generate(GeneratorSpec("path", 4))
