@@ -24,7 +24,6 @@ from .checks import (
 )
 from .construct import (
     binary_tree_categories,
-    construct_categories,
     embed_into_binary,
     graph_categories,
     path_categories,
@@ -74,7 +73,6 @@ __all__ = [
     "category_distance",
     "check_implications",
     "choose_root",
-    "construct_categories",
     "counterexample_cycle",
     "diameter",
     "embed_into_binary",

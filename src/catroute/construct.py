@@ -1,28 +1,54 @@
 """Constructions that equip a connected graph with categories greedy routing can use.
 
-Three layers, from special to general:
+One rule picks the construction, from the shape of a rooted spanning tree T
+(``tree_categories``; ``graph_categories`` takes T as the BFS tree from a
+center vertex):
 
-* a path gets one prefix set and one suffix set per vertex, which is exact:
-  the membership dimension equals the diameter;
-* a rooted tree in which every vertex has at most two children gets, per
-  vertex, its own subtree plus graded sets that pair one child's subtree,
-  sliced depth by depth, with the other child's subtree taken whole. Walking
-  down toward a target gains the subtree sets of each child passed; crossing
-  between subtrees gains a graded set one slice above the current vertex;
-* an arbitrary tree is first reshaped: every vertex with three or more
-  children has its child list expanded into a weight-balanced binary gadget
-  of placeholder vertices (recursive weight-midpoint splitting, so heavy
-  subtrees stay shallow), and the binary construction runs on the reshaped
-  tree with every placeholder folded into its closest ancestor that is an
-  original vertex while the sets are built. Folding, rather than deleting,
-  keeps every set connected on the original tree and keeps the neighbor
-  witnesses alive, which is what makes routing go through.
+* if T is a path, every vertex gets one prefix set and one suffix set along
+  it, which is exact: the membership dimension equals the path's length;
+* otherwise T is reshaped to binary form by ``embed_into_binary``: the child
+  list of a vertex with three or more children is split recursively at its
+  weight midpoint, and each part of two or more children hangs from a
+  placeholder vertex. An original vertex v and the placeholders under it
+  form v's gadget. Its levels are v itself (level 0), then the placeholders
+  under v, one gadget depth at a time; the parts of a level all sit at one
+  embedded depth. A vertex with at most two children has one level.
 
-An arbitrary connected graph takes a BFS spanning tree from a center vertex
-and reuses the tree construction; greedy forwarding on the full graph only
-ever has more options than on the tree, and strict distance decrease still
-guarantees termination. ``construct_categories`` picks the construction
-from the shape of the graph.
+  Every original vertex v gets the set of its descendants and, per level of
+  its gadget and per side (the first or the second child of each part, in
+  the embedded tree's sorted child order), one graded family. The family's
+  base is v plus the other side's subtrees of every part on the level; this
+  side's subtrees are added one embedded depth at a time, from none of them
+  to all but their deepest vertices. Placeholders get no sets of their own.
+  On a tree whose vertices have at most two children every vertex is its
+  own level-0 part, and these are the sets of ``binary_tree_categories``.
+
+Why greedy routing delivers. Every set is connected on T: the T-parent of
+an original vertex is its closest original ancestor in the embedded tree,
+so every member of one of v's sets other than v has its T-parent in the set
+too. Take a source s and a target t != s; the next vertex u on the tree path
+from s to t is strictly closer to t than s:
+
+* every set that holds t and s is connected on T, so it holds u as well;
+* if u is a child of s, u's subtree set holds t and u but not s;
+* otherwise u is s's parent. Let v be the lowest common ancestor of s and t
+  in T: s lies below a child a of v, and t is v or lies below another
+  child b. The gadget paths to a and b split at one part (take the part
+  just above a if t is v), and s lies on its side σ. The family of that
+  part's level and side σ has t in its base, and its slice just above s's
+  embedded depth holds u (u is v, or u lies above s on the near side) but
+  not s.
+
+So d(u, t) < d(s, t) on T, and on any graph containing T's edges greedy
+forwarding has a strictly closer neighbour at every step.
+
+Membership cost. A vertex x lies in one subtree set per original
+ancestor-or-self, and in two families of at most h + 1 sets each per gadget
+level that is x's own or lies above x, h the embedded tree's height. These
+levels sit at distinct embedded depths, so there are at most h of them, and
+x lies in at most (h+1)(2h+3) sets, with h <= 3 * height + 2 * ceil(log2 n)
++ 3. A hub with k children pays about 2 * ceil(log2 k) * (h + 1) for its own
+gadget.
 """
 
 from __future__ import annotations
@@ -87,20 +113,15 @@ def binary_tree_categories(tree):
     for v, kids in enumerate(tree.children):
         if len(kids) > 2:
             raise ValidationError(f"vertex {v} has more than two children")
-    return CategorySystem.from_masks(tree.n, _masks(tree, [1 << v for v in range(tree.n)]))
+    return CategorySystem.from_masks(tree.n, _masks(tree))
 
 
 @dataclass(frozen=True)
 class EmbeddingMap:
-    """A tree reshaped to binary form, with the map back to the original.
-
-    Original vertices keep their ids 0..n-1 in the reshaped tree and the
-    placeholders take ids n, n+1, ...; ``nearest_original`` folds every
-    reshaped vertex, placeholder or not, to its closest original ancestor.
-    """
+    """A tree reshaped to binary form: original vertices keep their ids
+    0..n-1 in ``tree`` and the placeholders take ids n, n+1, ..."""
 
     tree: RootedTree
-    nearest_original: tuple
 
 
 def embed_into_binary(tree):
@@ -135,35 +156,27 @@ def embed_into_binary(tree):
                 else:
                     parent.append(host)
                     pending.append((len(parent) - 1, part))
-
-    embedded = RootedTree(parent, tree.root)
-    nearest = list(range(embedded.n))
-    for v in embedded.order:
-        if v >= n:
-            nearest[v] = nearest[parent[v]]
-    return EmbeddingMap(tree=embedded, nearest_original=tuple(nearest))
+    return EmbeddingMap(tree=RootedTree(parent, tree.root))
 
 
 def tree_categories(tree):
-    """Categories for an arbitrary rooted tree, via the binary embedding.
-
-    Runs the binary construction on the reshaped tree with every placeholder
-    vertex folded into its closest original ancestor as the sets are built,
-    and collapses duplicates. Folding maps unions to unions, so this gives
-    exactly the binary construction's sets folded afterwards. The folded
-    system is internally connected and shattered on the original tree, so
-    greedy routing delivers every pair.
-    """
-    embedding = embed_into_binary(tree)
-    bit = [1 << v for v in embedding.nearest_original]
-    return CategorySystem.from_masks(tree.n, _masks(embedding.tree, bit))
+    """Categories for an arbitrary rooted tree: the path construction on the
+    tree's graph when the tree is a path, else the level families of its
+    binary embedding (see the module docstring). The result is internally
+    connected and shattered on the tree, so greedy routing delivers every
+    pair on it and on any graph that contains its edges."""
+    # A vertex with three or more children rules out a path without
+    # building the tree's graph.
+    if max(map(len, tree.children)) <= 2 and is_path(tree.graph):
+        return path_categories(tree.graph)
+    return CategorySystem.from_masks(tree.n, _masks(tree))
 
 
 def graph_categories(g):
     """Categories for an arbitrary connected graph.
 
     Takes the BFS spanning tree rooted at a minimum-eccentricity vertex (its
-    diameter is at most twice the graph's) and applies the tree construction.
+    diameter is at most twice the graph's) and applies ``tree_categories``.
     Greedy routing then works on the graph itself: every tree step is still
     available, extra edges only add options, and strict decrease rules out
     cycles.
@@ -172,38 +185,41 @@ def graph_categories(g):
     return tree_categories(bfs_spanning_tree(g, root))
 
 
-def construct_categories(g):
-    """Categories for a connected graph ``g``: the exact path construction on a
-    path (membership dimension equal to the diameter), the tree construction
-    on a BFS spanning tree everywhere else."""
-    return path_categories(g) if is_path(g) else graph_categories(g)
-
-
-def _masks(tree, bit):
-    """The binary construction's sets on a tree with at most two children per
-    vertex, as masks in which vertex v contributes ``bit[v]``."""
-    children = tree.children
-    subtree = [0] * tree.n
-    for v in reversed(tree.order):
+def _masks(tree):
+    """The subtree sets and level families of every original vertex, built on
+    the binary embedding of ``tree``, as vertex masks."""
+    n = tree.n
+    b = embed_into_binary(tree).tree
+    children = b.children
+    bit = [1 << v if v < n else 0 for v in range(b.n)]
+    subtree = [0] * b.n
+    for v in reversed(b.order):
         mask = bit[v]
         for c in children[v]:
             mask |= subtree[c]
         subtree[v] = mask
-    masks = list(subtree)
-    for v, kids in enumerate(children):
-        for near in kids:
-            base = bit[v]
-            for far in kids:
-                if far != near:
-                    base |= subtree[far]
-            masks.append(base)  # slice at depth(v): nothing of the near side yet
-            sliced = 0
-            frontier = [near]
-            for _ in range(tree.height[near]):
-                for x in frontier:
-                    sliced |= bit[x]
-                masks.append(base | sliced)
-                frontier = [c for x in frontier for c in children[x]]
+    masks = subtree[:n]
+    for v in range(n):
+        # The child tuples of the parts on one level of v's gadget. Level 0
+        # is v alone; deeper parts are placeholders with two children each,
+        # so every part of a level has as many sides.
+        level = [children[v]] if children[v] else []
+        while level:
+            for side in range(len(level[0])):
+                base, near = bit[v], []
+                for pair in level:
+                    near.append(pair[side])
+                    if len(pair) == 2:
+                        base |= subtree[pair[1 - side]]
+                sliced = 0
+                while near:  # every depth but the deepest of the near side
+                    masks.append(base | sliced)
+                    deeper = []
+                    for x in near:
+                        sliced |= bit[x]
+                        deeper += children[x]
+                    near = deeper
+            level = [children[c] for pair in level for c in pair if c >= n]
     return masks
 
 

@@ -230,5 +230,33 @@ def oracle_is_ancestor(tree, a, b):
     return False
 
 
+def oracle_binary_tree_sets(tree):
+    """The sets ``binary_tree_categories``' docstring defines, re-derived as
+    member tuples: per vertex v its descendants (v included) and, for each
+    child c of v, one set per depth i from depth(v) up to depth(v) plus c's
+    height, holding v, the members of c's subtree at depth at most i, and the
+    whole subtree of v's other child, if any. Depths come from a BFS from the
+    root and descendants from walking parents. Returns the distinct sets in
+    lexicographic order, as ``CategorySystem.categories`` lists them."""
+    depth = bfs_distances(tree.graph, tree.root)
+    below = [[] for _ in range(tree.n)]
+    for x in range(tree.n):
+        walk = x
+        while walk is not None:
+            below[walk].append(x)
+            walk = tree.parent[walk]
+    sets = set()
+    for v in range(tree.n):
+        sets.add(tuple(below[v]))
+        kids = [x for x in range(tree.n) if tree.parent[x] == v]
+        for c in kids:
+            other = [x for k in kids if k != c for x in below[k]]
+            height = max(depth[x] for x in below[c]) - depth[c]
+            for i in range(depth[v], depth[v] + height + 1):
+                sliced = [x for x in below[c] if depth[x] <= i]
+                sets.add(tuple(sorted([v, *sliced, *other])))
+    return tuple(sorted(sets))
+
+
 def seeded(seed):
     return random.Random(seed)

@@ -98,22 +98,22 @@ PINNED_SPECS = [
 ]
 PINNED_ROWS = (
     "seed,family,n,m,diam,memdim,all_pairs_ok,max_route_len,mean_route_len,ratio",
-    "200,gnp-connected,100,305,5,72,true,9,3.7908,0.531054",
-    "200,gnp-connected,500,1450,7,125,true,12,5.8356,0.490376",
-    "201,random-tree,100,99,13,69,true,13,5.9735,0.178812",
-    "201,random-tree,500,499,22,160,true,22,8.9751,0.166861",
-    "202,path,100,99,99,725,true,99,33.6667,0.064961",
-    "202,path,500,499,499,16125,true,499,167.0000,0.062493",
-    "203,cycle,100,100,50,725,true,98,33.1717,0.225960",
-    "203,cycle,500,500,250,16125,true,498,166.5010,0.240445",
+    "200,gnp-connected,100,305,5,51,true,8,3.6851,0.376163",
+    "200,gnp-connected,500,1450,7,98,true,12,5.7521,0.384455",
+    "201,random-tree,100,99,13,64,true,13,5.9735,0.165854",
+    "201,random-tree,500,499,22,155,true,22,8.9751,0.161647",
+    "202,path,100,99,99,99,true,99,33.6667,0.008870",
+    "202,path,500,499,499,499,true,499,167.0000,0.001934",
+    "203,cycle,100,100,50,99,true,98,33.1717,0.030855",
+    "203,cycle,500,500,250,499,true,498,166.5010,0.007441",
     "204,grid,100,180,18,90,true,19,7.5939,0.148192",
     "204,grid,500,955,43,329,true,44,17.4680,0.121832",
-    "205,star,100,99,2,256,true,2,1.9800,3.426296",
-    "205,star,500,499,2,1063,true,2,1.9960,8.840033",
-    "206,complete,100,4950,1,256,true,1,1.0000,4.381421",
-    "206,complete,500,124750,1,1063,true,1,1.0000,10.703118",
-    "207,watts-strogatz,100,200,9,65,true,12,5.7123,0.265599",
-    "207,watts-strogatz,500,1000,13,132,true,19,8.9603,0.273578",
+    "205,star,100,99,2,26,true,2,1.9800,0.347983",
+    "205,star,500,499,2,31,true,2,1.9960,0.257800",
+    "206,complete,100,4950,1,26,true,1,1.0000,0.444988",
+    "206,complete,500,124750,1,31,true,1,1.0000,0.312132",
+    "207,watts-strogatz,100,200,9,55,true,12,5.7168,0.224737",
+    "207,watts-strogatz,500,1000,13,121,true,18,8.9661,0.250779",
 )
 
 

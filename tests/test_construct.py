@@ -12,7 +12,7 @@ from catroute import (
     bfs_distances,
     binary_tree_categories,
     bfs_spanning_tree,
-    construct_categories,
+    choose_root,
     diameter,
     embed_into_binary,
     graph_categories,
@@ -26,10 +26,12 @@ from catroute import (
     tree_categories,
     verify_all_pairs_routing,
 )
+from catroute.construct import _masks
 
 from conftest import (
     complete_graph,
     cycle_graph,
+    oracle_binary_tree_sets,
     oracle_is_ancestor,
     path_graph,
     random_binary_tree,
@@ -80,6 +82,10 @@ class TestPathCategories:
         with pytest.raises(ValidationError):
             path_categories(Graph(1))
 
+    def test_path_rejects_a_non_path(self):
+        with pytest.raises(ValidationError, match="not a path"):
+            path_categories(cycle_graph(5))
+
     def test_routes_follow_the_unique_shortest_path(self):
         g = path_graph(6)
         s = path_categories(g)
@@ -122,6 +128,22 @@ class TestBinaryTreeCategories:
         with pytest.raises(ValidationError, match="vertex 1 has more than two children"):
             binary_tree_categories(RootedTree([None, 0, 1, 1, 1], 0))
 
+    def test_binary_tree_rejects_a_vertex_with_three_children(self):
+        # Rooted at a leaf, the star's hub keeps three children.
+        with pytest.raises(ValidationError, match="more than two children"):
+            binary_tree_categories(bfs_spanning_tree(star_graph(5), 1))
+
+    def test_random_binary_trees_match_the_oracle(self):
+        # binary_tree_categories against its definition, and tree_categories
+        # against the same sets wherever it does not take the path rule.
+        rng = seeded(47)
+        for _ in range(200):
+            tree = random_binary_tree(rng, rng.randint(1, 150))
+            expected = oracle_binary_tree_sets(tree)
+            assert binary_tree_categories(tree).categories == expected
+            if not is_path(tree.graph):
+                assert tree_categories(tree).categories == expected
+
 
 class TestEmbedIntoBinary:
     def test_star_gets_two_placeholders(self):
@@ -133,14 +155,12 @@ class TestEmbedIntoBinary:
         depth = bfs_distances(b.graph, b.root)
         for leaf in (1, 2, 3, 4):
             assert depth[leaf] == 2
-        assert emb.nearest_original[5] == 0 and emb.nearest_original[6] == 0
 
     def test_already_binary_is_identity(self):
         rng = seeded(3)
         tree = random_binary_tree(rng, 25)
         emb = embed_into_binary(tree)
         assert emb.tree.n == tree.n
-        assert emb.nearest_original == tuple(range(tree.n))
         assert set(emb.tree.graph.edges()) == set(tree.graph.edges())
 
     def test_path_shape_is_identity(self):
@@ -158,16 +178,20 @@ class TestEmbedIntoBinary:
         assert bfs_distances(b.graph, b.root)[3] <= 2
 
     def test_origin_mapping_is_injective_identity(self):
+        # Original vertices keep their ids: the closest original ancestor of
+        # each one is its parent in the input. Placeholders take the ids from
+        # 40 up and each holds two parts.
         rng = seeded(5)
         tree = random_tree(rng, 40, skew="hub")
-        emb = embed_into_binary(tree)
-        b = emb.tree
-        assert emb.nearest_original[:40] == tuple(range(40))
-        for v in range(40, b.n):
+        b = embed_into_binary(tree).tree
+        for v in range(40):
             walk = b.parent[v]
-            while walk >= 40:
+            while walk is not None and walk >= 40:
                 walk = b.parent[walk]
-            assert emb.nearest_original[v] == walk
+            assert walk == tree.parent[v]
+        assert b.n > 40
+        for v in range(40, b.n):
+            assert len(b.children[v]) == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,39 +262,66 @@ class TestGraphCategories:
             graph_categories(Graph(3, [(0, 1)]))
 
 
-# The builders construct_categories chooses between.
-BUILDERS = {"path": path_categories, "graph": graph_categories}
+@pytest.mark.parametrize("n", [5, 50, 300, 1300, 4000])
+@pytest.mark.parametrize("shape", ["star", "hub"])
+def test_hubs_stay_under_the_cushion(shape, n):
+    # The level families charge a hub per level of its gadget, not per
+    # placeholder: a star on 1300 vertices stays far below its cushion.
+    tree = bfs_spanning_tree(star_graph(n), 0) if shape == "star" else random_tree(seeded(n), n, skew="hub")
+    g = tree.graph
+    system = tree_categories(tree)
+    memdim = membership_dimension(system)
+    assert memdim <= 16 * (diameter(g) + math.ceil(math.log2(n)) + 1) ** 2
+    b = embed_into_binary(tree).tree
+    h = b.height[b.root]
+    assert memdim <= (h + 1) * (2 * h + 3)
+    assert is_shattered(g, system).holds
+    assert is_internally_connected(g, system).holds
+    if n <= 500:
+        assert verify_all_pairs_routing(g, system).holds
+
 
 HUB_TREE = random_tree(seeded(41), 30, skew="hub").graph
-DISPATCH_CASES = [
-    (path_graph(6), "path"),
-    (HUB_TREE, "graph"),
-    (cycle_graph(5), "graph"),
-]
 
 
-class TestConstructCategories:
-    @pytest.mark.parametrize("g, builder", DISPATCH_CASES)
-    def test_auto_runs_its_builder(self, g, builder):
-        assert construct_categories(g) == BUILDERS[builder](g)
+def _level_builder(tree):
+    return CategorySystem.from_masks(tree.n, _masks(tree))
 
-    def test_auto_is_the_default(self):
-        # The one rule, on random connected graphs, trees and paths alike.
+
+class TestOneRule:
+    """graph_categories, bench_one and `catroute construct` share one rule:
+    the path construction when the BFS tree from the chosen root is a path,
+    the level builder on that tree otherwise."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [path_graph(2), path_graph(6), Graph(5, [(3, 0), (0, 4), (4, 1), (1, 2)])],
+        ids=["two", "six", "scrambled"],
+    )
+    def test_a_path_gets_the_path_construction(self, g):
+        assert graph_categories(g) == path_categories(g)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 10])
+    def test_a_cycle_gets_the_path_construction_on_its_bfs_tree(self, n):
+        g = cycle_graph(n)
+        tree = bfs_spanning_tree(g, choose_root(g))
+        system = graph_categories(g)
+        assert system == path_categories(tree.graph)
+        assert membership_dimension(system) == n - 1
+
+    def test_a_hub_tree_gets_the_level_builder(self):
+        tree = bfs_spanning_tree(HUB_TREE, choose_root(HUB_TREE))
+        assert not is_path(tree.graph)
+        assert graph_categories(HUB_TREE) == _level_builder(tree)
+
+    def test_the_rule_on_random_graphs(self):
         rng = seeded(43)
         graphs = [random_connected_graph(rng, rng.randint(1, 30)) for _ in range(20)]
         graphs += [path_graph(n) for n in (2, 3, 9)] + [random_tree(rng, 25).graph]
         for g in graphs:
-            builder = path_categories if is_path(g) else graph_categories
-            assert construct_categories(g) == builder(g)
-
-    def test_binary_tree_rejects_a_vertex_with_three_children(self):
-        # Rooted at a leaf, the star's hub keeps three children.
-        with pytest.raises(ValidationError, match="more than two children"):
-            binary_tree_categories(bfs_spanning_tree(star_graph(5), 1))
-
-    def test_path_rejects_a_non_path(self):
-        with pytest.raises(ValidationError, match="not a path"):
-            path_categories(cycle_graph(5))
+            tree = bfs_spanning_tree(g, choose_root(g))
+            expected = path_categories(tree.graph) if is_path(tree.graph) else _level_builder(tree)
+            assert graph_categories(g) == expected
 
 
 class TestImpossibilityPair:
