@@ -103,6 +103,12 @@ class TestShattered:
         report = is_shattered(g, s)
         assert oracle_shattered(g, s) == report.witness
 
+    def test_reads_no_member_tuples(self, monkeypatch):
+        g = generate(GeneratorSpec("grid", 30, 1))
+        s = graph_categories(g)
+        monkeypatch.setattr(CategorySystem, "categories", property(lambda self: pytest.fail("member tuples built")))
+        assert is_shattered(g, s).holds
+
 
 class TestVerifyAllPairsRouting:
     def test_counterexample_fails_at_v_to_x(self):
@@ -442,8 +448,12 @@ def test_constructed_cycles_and_grids_are_internally_connected(family, n):
 
 
 def _tree_construction_instances():
-    """Stars and hub-skewed trees with the tree construction's sets, shattered
-    as built, with some sets dropped so the verdict can fail."""
+    """Stars and hub-skewed trees with the tree construction's sets, and
+    graphs with cycles, dense ones among them, with ``graph_categories``
+    sets; all shattered as built, with some sets dropped so the verdict can
+    fail."""
+    drops = st.sampled_from([0.0, 0.02, 0.1, 0.4])
+    seeds = st.integers(min_value=0, max_value=10_000)
 
     def build(star, n, seed, drop):
         rng = seeded(seed)
@@ -451,16 +461,20 @@ def _tree_construction_instances():
         sets = [members for members in tree_categories(tree).categories if rng.random() >= drop]
         return tree.graph, CategorySystem(n, sets)
 
-    return st.builds(
-        build,
-        st.booleans(),
-        st.integers(min_value=2, max_value=28),
-        st.integers(min_value=0, max_value=10_000),
-        st.sampled_from([0.0, 0.02, 0.1, 0.4]),
+    def build_on_graph(family, n, seed, drop):
+        rng = seeded(seed)
+        g = generate(GeneratorSpec(family, n, seed, {"p": 0.3} if family == "gnp-connected" else {}))
+        sets = [members for members in graph_categories(g).categories if rng.random() >= drop]
+        return g, CategorySystem(n, sets)
+
+    families = st.sampled_from(["gnp-connected", "grid", "watts-strogatz", "complete"])
+    return st.one_of(
+        st.builds(build, st.booleans(), st.integers(min_value=2, max_value=28), seeds, drops),
+        st.builds(build_on_graph, families, st.integers(min_value=5, max_value=30), seeds, drops),
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(_tree_construction_instances())
 def test_shattered_on_tree_constructions_matches_definition_oracle(pair):
     g, s = pair

@@ -121,6 +121,19 @@ class TestCheck:
         assert code == 0
         assert capsys.readouterr().out.strip() == "shattered: OK"
 
+    def test_unshattered_system_prints_its_witness(self, tmp_path, capsys):
+        # The path's prefix and suffix sets without {0, 1}: from 2, neither
+        # neighbour holds a set with 0 that leaves 2 out.
+        graph_file = tmp_path / "p.edges"
+        graph_file.write_text(serialize_edge_list(path_graph(5)))
+        cats_file = tmp_path / "p.json"
+        cats_file.write_text('{"n":5,"categories":[[0],[0,1,2],[0,1,2,3],[1,2,3,4],[2,3,4],[3,4],[4]]}')
+        argv = ["check", "--graph", str(graph_file), "--cats", str(cats_file), "--props", "shattered"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "shattered: FAIL witness=(2, 0)\n"
+        assert captured.err == ""
+
     def test_unknown_property_is_usage_error(self, counter_files, capsys):
         graph_file, cats_file = counter_files
         assert main(["check", "--graph", graph_file, "--cats", cats_file, "--props", "x"]) == 2
