@@ -69,8 +69,9 @@ def bench_one(spec):
     Specs with more than ``ALL_PAIRS_CAP`` vertices are rejected before
     anything is generated. The root (the first vertex of minimum
     eccentricity, as ``choose_root`` picks it) and the diameter come from one
-    reach sweep, and the categories are ``graph_categories``' sets on that
-    root's BFS tree.
+    pass over the eccentricity levels (the peel and one BFS on a tree, the
+    reach sweep otherwise), and the categories are ``graph_categories``' sets
+    on that root's BFS tree.
     """
     if spec.n > ALL_PAIRS_CAP:
         raise ValidationError(

@@ -167,8 +167,10 @@ def tree_categories(tree):
     pair on it and on any graph that contains its edges."""
     # A vertex with three or more children rules out a path without
     # building the tree's graph.
-    if max(map(len, tree.children)) <= 2 and is_path(tree.graph):
-        return path_categories(tree.graph)
+    if max(map(len, tree.children)) <= 2:
+        g = tree.graph
+        if is_path(g):
+            return path_categories(g)
     return CategorySystem.from_masks(tree.n, _masks(tree))
 
 

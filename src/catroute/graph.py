@@ -178,25 +178,59 @@ def is_path(g):
 def _eccentricity_levels(g):
     """Yield ``(k, vertices of eccentricity k)`` for increasing k, ids ascending.
 
-    A bit-parallel BFS from all sources at once (the reach sweep of Akiba,
-    Iwata and Yoshida, SIGMOD 2013). At level k each vertex holds its ball of
-    radius k as a vertex bitmask, and its ball of radius k + 1 is the OR of
-    its own and its neighbours' balls of radius k. A vertex's eccentricity is
-    the level at which its ball becomes the whole vertex set, and it then
-    leaves the sweep. A level costs one n-bit OR per adjacency entry of a
-    vertex still in the sweep, so the sweep runs O(diam * m) big-int ORs, and
-    its two lists of balls hold about 2 * n^2 / 8 bytes at peak. Requires
-    n >= 1. On a connected graph vertex 0's ball grows at every level until
-    some vertex is full, so a level at which it stops growing while no vertex
-    is full raises ``DisconnectedGraphError(0, v)``, v the lowest vertex
-    missing from the ball, that is the lowest vertex unreachable from 0.
+    Requires n >= 1. A graph with n - 1 edges is first peeled to its centre
+    C (``_peel_to_centre``). If it is a tree of radius r, then
+    ecc(v) = r + dist(v, C). The triangle inequality gives ecc(v) at most
+    dist(v, c) + ecc(c) for a centre c. With one centre c, every longest
+    path has c as its middle vertex, so at least two branches at c reach
+    depth r; v lies in at most one of them, and the deepest vertex of another
+    is r + dist(v, c) away. With two centres a and b, every longest path has
+    the edge ab as its middle, so cutting ab leaves a's side and b's side
+    each reaching depth r - 1; for v on a's side the deepest vertex of b's
+    side is dist(v, a) + 1 + (r - 1) away. So the levels are r and the
+    sorted centres, then the layers of one BFS from C, each sorted. The first
+    level comes straight from the peel, so ``choose_root`` on a tree costs
+    O(n) steps and O(n) memory; the other levels cost one BFS more.
+
+    Every other graph runs a bit-parallel BFS from all sources at once (the
+    reach sweep of Akiba, Iwata and Yoshida, SIGMOD 2013). At level k each
+    vertex holds its ball of radius k as a vertex bitmask, and its ball of
+    radius k + 1 is the OR of its own and its neighbours' balls of radius k.
+    A vertex's eccentricity is the level at which its ball becomes the whole
+    vertex set, and it then leaves the sweep. A level costs one n-bit OR per
+    adjacency entry of a vertex still in the sweep, so the sweep runs
+    O(diam * m) big-int ORs, and its two lists of balls hold about
+    2 * n^2 / 8 bytes at peak. On a connected graph vertex 0's ball grows at
+    every level until some vertex is full, so a level at which it stops
+    growing while no vertex is full raises ``DisconnectedGraphError(0, v)``,
+    v the lowest vertex missing from the ball, that is the lowest vertex
+    unreachable from 0. A graph with n - 1 edges that is not a tree has a
+    cycle and is disconnected, and reaches that error through the sweep.
     """
     n = g.n
-    full = (1 << n) - 1
     if n == 1:
         yield 0, [0]
         return
     adjacency = g.adjacency
+    peeled = _peel_to_centre(g) if g.num_edges == n - 1 else None
+    if peeled is not None:
+        k, level = peeled
+        seen = bytearray(n)
+        for c in level:
+            seen[c] = 1
+        while level:
+            yield k, level
+            reached = []
+            for u in level:
+                for v in adjacency[u]:
+                    if not seen[v]:
+                        seen[v] = 1
+                        reached.append(v)
+            reached.sort()
+            level = reached
+            k += 1
+        return
+    full = (1 << n) - 1
     prev = [1 << v for v in range(n)]
     cur = prev[:]
     active = range(n)
@@ -226,9 +260,44 @@ def _eccentricity_levels(g):
             yield k, done
 
 
+def _peel_to_centre(g):
+    """``(radius, sorted centres)`` of ``g``, a graph on n >= 2 vertices with
+    n - 1 edges, if it is a tree, else None.
+
+    Removes all current leaves at once, layer by layer, tracking degrees,
+    until at most two vertices are left: the centre, one vertex or two
+    adjacent ones. A tree with more than two vertices always has leaves, so
+    a layer that comes up empty first means a cycle, whose vertices never
+    become leaves. After t layers one centre has eccentricity t, and two
+    centres t + 1. O(n + m) steps.
+    """
+    adjacency = g.adjacency
+    degree = [len(nbrs) for nbrs in adjacency]
+    layer = [v for v, d in enumerate(degree) if d == 1]
+    left = g.n
+    layers = 0
+    while left > 2:
+        if not layer:
+            return None
+        left -= len(layer)
+        layers += 1
+        nxt = []
+        for v in layer:
+            # A neighbour removed in an earlier layer drops from degree 1 to
+            # 0 here, so it is never queued again.
+            for u in adjacency[v]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    nxt.append(u)
+        layer = nxt
+    layer.sort()
+    return (layers if left == 1 else layers + 1), layer
+
+
 def diameter(g):
-    """Max shortest-path distance over all pairs: the last level of one reach
-    sweep over all sources (see ``_eccentricity_levels`` for its cost)."""
+    """Max shortest-path distance over all pairs: the last eccentricity level
+    (see ``_eccentricity_levels``). On a tree that is the peel and one BFS,
+    O(n) steps and memory; on any other graph, the whole reach sweep."""
     if g.n == 0:
         raise ValidationError("diameter of an empty graph is undefined")
     return max(k for k, _ in _eccentricity_levels(g))
@@ -237,9 +306,11 @@ def diameter(g):
 def choose_root(g):
     """Deterministic root choice: minimum eccentricity, ties by smallest id.
 
-    Requires a connected graph. The reach sweep (see ``_eccentricity_levels``)
-    stops at its first level, where the lowest full vertex is the root, so it
-    runs radius levels rather than diameter levels.
+    Requires a connected graph. The root is the lowest vertex of the first
+    eccentricity level (see ``_eccentricity_levels``): on a tree the smaller
+    centre, straight from the peel with no BFS; on any other graph the lowest
+    full vertex at the reach sweep's first level, so the sweep runs radius
+    levels rather than diameter levels.
     """
     if g.n == 0:
         raise ValidationError("cannot choose a root in an empty graph")

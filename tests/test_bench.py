@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from catroute import GeneratorSpec, ValidationError, run_fixtures
+from catroute import (
+    DisconnectedGraphError,
+    GeneratorSpec,
+    ValidationError,
+    parse_edge_list,
+    run_fixtures,
+)
+from catroute import bench as bench_module
 from catroute.bench import (
     ALL_PAIRS_CAP,
     CSV_HEADER,
@@ -59,6 +66,14 @@ class TestBenchRecords:
     def test_cap_enforced(self):
         with pytest.raises(ValidationError):
             bench_one(GeneratorSpec("path", ALL_PAIRS_CAP + 1))
+
+    def test_tree_edge_count_with_a_cycle_is_disconnected(self, monkeypatch):
+        # A triangle plus one isolated vertex has n - 1 edges but is no tree.
+        triangle = parse_edge_list("n 4\n0 1\n1 2\n2 0\n")
+        monkeypatch.setattr(bench_module, "generate", lambda spec: triangle)
+        with pytest.raises(DisconnectedGraphError) as err:
+            bench_one(GeneratorSpec("path", 4))
+        assert err.value.unreachable_pair == (0, 3)
 
 
 class TestCsvOutput:

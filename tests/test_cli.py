@@ -55,6 +55,16 @@ class TestConstruct:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["construct", "--graph", "/nonexistent.edges"]) == 2
 
+    def test_tree_edge_count_with_a_cycle_is_disconnected(self, tmp_path, capsys):
+        # n - 1 edges, but a triangle and an isolated vertex: no tree.
+        graph_file = tmp_path / "g.edges"
+        graph_file.write_text("n 4\n0 1\n1 2\n2 0\n")
+        assert main(["construct", "--graph", str(graph_file)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: graph is disconnected: no path between 0 and 3\n",
+        )
+
 
     def test_graph_above_vertex_cap_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(graph_module, "MAX_VERTICES", 10)
@@ -204,8 +214,13 @@ class TestStats:
         [
             ("", "error: diameter of an empty graph is undefined\n"),
             ("0 1\n2 3\n", "error: graph is disconnected: no path between 0 and 2\n"),
+            # n - 1 edges, but a triangle and an isolated vertex: no tree.
+            (
+                "n 4\n0 1\n1 2\n2 0\n",
+                "error: graph is disconnected: no path between 0 and 3\n",
+            ),
         ],
-        ids=["empty", "disconnected"],
+        ids=["empty", "disconnected", "tree-edge-count-with-a-cycle"],
     )
     def test_bad_graph_writes_nothing_to_stdout(self, tmp_path, capsys, edges, error):
         graph_file = tmp_path / "g.edges"

@@ -325,9 +325,39 @@ def test_serialize_parse_roundtrip(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
 
 
+def _relabelled(rng, n, edges):
+    """The graph on ``edges`` with its vertex ids shuffled."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return Graph(n, ((ids[u], ids[v]) for u, v in edges))
+
+
+def _shuffled_tree(n, seed):
+    rng = seeded(seed)
+    return _relabelled(rng, n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def _star_with_hub(n, seed):
+    hub = seeded(seed).randrange(n)
+    return Graph(n, ((hub, v) for v in range(n) if v != hub))
+
+
+def _caterpillar(spine, legs, seed):
+    """A path of ``spine`` vertices with ``legs`` leaves hung on random spine
+    vertices, ids shuffled."""
+    rng = seeded(seed)
+    edges = [(v - 1, v) for v in range(1, spine)]
+    edges += [(rng.randrange(spine), spine + leg) for leg in range(legs)]
+    return _relabelled(rng, spine + legs, edges)
+
+
 def _sweep_graphs():
     """Generated graphs plus long paths and cycles, whose reach sweeps run the
-    most levels, and random graphs down to one vertex."""
+    most levels, random graphs down to one vertex, and trees of every shape
+    the centre peel meets: shuffled random trees, stars with the hub at any
+    id, caterpillars, and paths of odd and even length (one centre or two)."""
+    sizes = st.integers(min_value=1, max_value=40)
+    seeds = st.integers(min_value=0, max_value=10_000)
     return st.one_of(
         _graphs(),
         st.builds(path_graph, st.integers(min_value=1, max_value=150)),
@@ -335,20 +365,51 @@ def _sweep_graphs():
         st.builds(
             lambda n, seed: random_connected_graph(seeded(seed), n),
             st.integers(min_value=1, max_value=30),
-            st.integers(min_value=0, max_value=10_000),
+            seeds,
+        ),
+        st.builds(_shuffled_tree, sizes, seeds),
+        st.builds(_star_with_hub, sizes, seeds),
+        st.builds(_caterpillar, sizes, st.integers(min_value=0, max_value=30), seeds),
+        st.builds(
+            lambda n, seed: _relabelled(seeded(seed), n, [(v - 1, v) for v in range(1, n)]),
+            sizes,
+            seeds,
         ),
     )
 
 
-@settings(max_examples=80, deadline=None)
+def _oracle_levels(g):
+    eccentricities = [oracle_eccentricity(g, v) for v in range(g.n)]
+    return [
+        (k, [v for v in range(g.n) if eccentricities[v] == k])
+        for k in sorted(set(eccentricities))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
 @given(_sweep_graphs())
 @example(Graph(1))
 @example(path_graph(2))
+@example(path_graph(5))
+@example(path_graph(6))
+# 0-2-1-3 peels to its centres 2 and 1 in that order; the root is 1.
+@example(Graph(4, [(0, 2), (2, 1), (1, 3)]))
 def test_chosen_root_has_minimum_eccentricity(g):
-    # The reach sweep behind choose_root and diameter against one BFS per vertex.
-    eccentricities = [oracle_eccentricity(g, v) for v in range(g.n)]
-    assert diameter(g) == max(eccentricities)
-    assert choose_root(g) == min(range(g.n), key=lambda v: (eccentricities[v], v))
+    # The peel and the reach sweep behind choose_root and diameter against
+    # one BFS per vertex, level by level.
+    levels = _oracle_levels(g)
+    assert list(graph_module._eccentricity_levels(g)) == levels
+    assert diameter(g) == levels[-1][0]
+    assert choose_root(g) == levels[0][1][0]
+
+
+def test_tree_edge_count_with_a_cycle_is_disconnected():
+    # A triangle plus one isolated vertex has n - 1 edges but is no tree.
+    g = parse_edge_list("n 4\n0 1\n1 2\n2 0\n")
+    for call in (diameter, choose_root):
+        with pytest.raises(DisconnectedGraphError) as err:
+            call(g)
+        assert err.value.unreachable_pair == (0, 3)
 
 
 @settings(max_examples=40, deadline=None)
