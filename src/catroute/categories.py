@@ -107,11 +107,15 @@ def _set_masks(n, sets):
 def _canonical_order(n, masks):
     """The masks sorted into the lexicographic order of their member tuples."""
     width = (n + 7) >> 3
+    h_width = (n.bit_length() + 7) >> 3
 
     def key(mask):
         h = mask.bit_length()
-        # Equal-length byte strings compare as big-endian numbers.
-        return (mask ^ ((1 << h) - 1)).to_bytes(width, "little").translate(_REVERSED), h
+        # Equal-length byte strings compare as big-endian numbers, so the
+        # fixed-width h after the fixed-width body breaks ties as a second
+        # tuple field would, in one comparison.
+        body = (mask ^ ((1 << h) - 1)).to_bytes(width, "little").translate(_REVERSED)
+        return body + h.to_bytes(h_width, "big")
 
     return sorted(masks, key=key)
 

@@ -92,12 +92,21 @@ def is_internally_connected(g, system):
     neighbours in the category with one n-bit AND, and no member list is
     built. The certificate costs O(n + m) steps plus O(n) ANDs and ORs of
     k-bit ints; on a tree, the forest is ``g`` itself, so only the
-    disconnected categories are searched.
+    disconnected categories are searched. The n-bit neighbour masks of the
+    search are built only when some category is left uncertified.
     """
     _check_universe(g, system)
-    neighbor_masks = g.neighbor_masks
+    uncertified = _uncertified(g, system.vertex_masks)
+    if not uncertified:
+        return PropertyReport(INTERNALLY_CONNECTED, True)
+    neighbor_masks = []
+    for nbrs in g.adjacency:
+        row = 0
+        for v in nbrs:
+            row |= 1 << v
+        neighbor_masks.append(row)
     category_masks = system.category_masks
-    for index in _members(_uncertified(g, system.vertex_masks)):
+    for index in _members(uncertified):
         mask = category_masks[index]
         pending = mask & -mask
         unseen = mask ^ pending

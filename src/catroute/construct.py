@@ -53,7 +53,9 @@ gadget.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .categories import CategorySystem
 from .errors import ValidationError
@@ -134,6 +136,10 @@ def embed_into_binary(tree):
     of their gadget, which keeps the reshaped height within
     3 * height + 2 * ceil(log2 n) + 3 and preserves the ancestor-descendant
     relation between original vertices.
+
+    Parts are index ranges into the child list, and each cut is found by
+    bisection on the child list's prefix sums of weight, so a hub with d
+    children costs O(d) steps for the sums and O(log d) per cut.
     """
     n = tree.n
     sizes = [1] * n
@@ -146,16 +152,25 @@ def embed_into_binary(tree):
         kids = tree.children[u]
         if len(kids) <= 2:
             continue
-        pending = [(u, kids)]
+        # prefix[i] is the weight of the first i children.
+        prefix = list(accumulate([sizes[c] for c in kids], initial=0))
+        pending = [(u, 0, len(kids))]
         while pending:
-            host, seq = pending.pop()
-            cut = _weight_midpoint(seq, sizes)
-            for part in (seq[:cut], seq[cut:]):
-                if len(part) == 1:
-                    parent[part[0]] = host
+            host, lo, hi = pending.pop()
+            # Cutting at i leaves |2 * prefix[i] - middle| between the sides.
+            # Weights are positive, so the best cut is the first i whose
+            # left side reaches half the part, or the one before it when
+            # that is as close (ties take the smaller left part).
+            middle = prefix[lo] + prefix[hi]
+            cut = bisect_left(prefix, (middle + 1) >> 1, lo + 1, hi - 1)
+            if cut - 1 > lo and middle - 2 * prefix[cut - 1] <= abs(2 * prefix[cut] - middle):
+                cut -= 1
+            for a, b in ((lo, cut), (cut, hi)):
+                if b - a == 1:
+                    parent[kids[a]] = host
                 else:
                     parent.append(host)
-                    pending.append((len(parent) - 1, part))
+                    pending.append((len(parent) - 1, a, b))
     return EmbeddingMap(tree=RootedTree(parent, tree.root))
 
 
@@ -224,17 +239,3 @@ def _masks(tree):
             level = [children[c] for pair in level for c in pair if c >= n]
     return masks
 
-
-def _weight_midpoint(seq, sizes):
-    """Split index minimizing |left weight - right weight|, ties leftmost."""
-    total = sum(sizes[c] for c in seq)
-    best_cut = 1
-    best_diff = None
-    running = 0
-    for cut in range(1, len(seq)):
-        running += sizes[seq[cut - 1]]
-        diff = abs(2 * running - total)
-        if best_diff is None or diff < best_diff:
-            best_diff = diff
-            best_cut = cut
-    return best_cut

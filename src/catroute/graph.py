@@ -12,7 +12,7 @@ from collections import deque
 from .errors import DisconnectedGraphError, ParseError, ValidationError
 
 # The most vertices a ``Graph``, ``parse_edge_list`` or ``generate`` accepts.
-# A ``Graph`` holds a set and a neighbour mask per vertex, so a larger count,
+# A ``Graph`` holds a sorted adjacency tuple per vertex, so a larger count,
 # header or vertex id is refused before anything of that size is built.
 # Rebind it to change the cap.
 MAX_VERTICES = 1_000_000
@@ -25,7 +25,7 @@ class Graph:
     vertex count above ``MAX_VERTICES``.
     """
 
-    __slots__ = ("n", "adjacency", "neighbor_masks")
+    __slots__ = ("n", "adjacency")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -42,13 +42,6 @@ class Graph:
             neighbor_sets[v].add(u)
         self.n = n
         self.adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
-        masks = []
-        for nbrs in self.adjacency:
-            m = 0
-            for v in nbrs:
-                m |= 1 << v
-            masks.append(m)
-        self.neighbor_masks = tuple(masks)
 
     @property
     def num_edges(self):

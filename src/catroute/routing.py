@@ -8,8 +8,14 @@ to fail, and the verifiers in :mod:`catroute.checks` reason about where.
 
 The distance is d(v, t) = |cat(t)| - |cat(t) & cat(v)|, so for a fixed target
 the nearest neighbor is the one sharing the most of t's categories. A hop
-therefore costs one AND and one popcount per neighbor on the vertex masks,
-and a route validates its endpoints once, not once per hop.
+therefore costs one AND and one popcount per neighbor read on the vertex
+masks, and a route validates its endpoints once, not once per hop.
+
+A hop reads the neighbors in id order only up to the first improving one that
+holds all of cat(t): no later neighbor can share more than all of them, so none
+can be strictly better, and the first maximum, the smallest id among ties, is
+the one already found. A hub hop thus reads its neighbors up to that one,
+at the latest t itself when t is adjacent, instead of all of them.
 """
 
 from __future__ import annotations
@@ -55,16 +61,20 @@ def _check_pair(g, system, u, t):
         raise ValidationError(f"vertex out of range for n={g.n}")
 
 
-def _step(neighbors, vm, vt, shared):
+def _step(neighbors, vm, vt, total, shared):
     """Next hop and its shared count toward the target whose vertex mask is
-    ``vt``, from a vertex sharing ``shared`` of its categories; None for the
-    hop when no neighbor shares more. Adjacency is sorted, so the first
-    maximum is the smallest id."""
+    ``vt``, with ``total`` categories, from a vertex sharing ``shared`` of
+    them; None for the hop when no neighbor shares more. Adjacency is sorted,
+    so the first maximum is the smallest id. The scan stops at the first
+    improving neighbor that shares all ``total``: a later one can at most tie
+    it, and ties go to the smaller id."""
     best = None
     for v in neighbors:
         sv = (vt & vm[v]).bit_count()
         if sv > shared:
             best, shared = v, sv
+            if sv == total:
+                break
     return best, shared
 
 
@@ -79,7 +89,7 @@ def greedy_step(g, system, u, t):
         raise ValidationError("nothing to forward: already at the target")
     vm = system.vertex_masks
     vt = vm[t]
-    return _step(g.adjacency[u], vm, vt, (vt & vm[u]).bit_count())[0]
+    return _step(g.adjacency[u], vm, vt, vt.bit_count(), (vt & vm[u]).bit_count())[0]
 
 
 def greedy_route(g, system, source, target):
@@ -88,7 +98,8 @@ def greedy_route(g, system, source, target):
 
     No hop cap is needed: each hop goes to a neighbor sharing strictly more of
     the target's categories, a count that never exceeds |cat(t)| <= memdim,
-    so a route ends within d(source, target) hops.
+    so a route ends within d(source, target) hops. Each hop reads the
+    neighbors only up to the first that holds all of cat(t) (see ``_step``).
     """
     _check_pair(g, system, source, target)
     adjacency = g.adjacency
@@ -100,7 +111,7 @@ def greedy_route(g, system, source, target):
     path = [current]
     hop_distances = [total - shared]
     while current != target:
-        current, shared = _step(adjacency[current], vm, vt, shared)
+        current, shared = _step(adjacency[current], vm, vt, total, shared)
         if current is None:
             return RouteTrace(source, target, tuple(path), tuple(hop_distances), False)
         path.append(current)

@@ -154,15 +154,13 @@ def _oracle_step(g, owned, u, t):
 
 
 def _oracle_walk(g, owned, s, t):
-    current = s
-    hops = 0
-    while current != t:
-        nxt = _oracle_step(g, owned, current, t)
+    path = [s]
+    while path[-1] != t:
+        nxt = _oracle_step(g, owned, path[-1], t)
         if nxt is None:
-            return False, hops, current
-        current = nxt
-        hops += 1
-    return True, hops, current
+            return False, tuple(path)
+        path.append(nxt)
+    return True, tuple(path)
 
 
 def oracle_greedy_step(g, system, u, t):
@@ -173,7 +171,7 @@ def oracle_greedy_step(g, system, u, t):
 
 def oracle_greedy_walk(g, system, s, t):
     """Forward one message from s by the greedy rule, every distance taken from
-    the definition; returns (delivered, hops, last vertex)."""
+    the definition; returns (delivered, vertex path)."""
     return _oracle_walk(g, oracle_memberships(system), s, t)
 
 
@@ -188,11 +186,11 @@ def oracle_all_pairs_routing(g, system):
         for t in range(g.n):
             if s == t:
                 continue
-            delivered, hops, last = _oracle_walk(g, owned, s, t)
+            delivered, path = _oracle_walk(g, owned, s, t)
             if delivered:
-                hop_counts.append(hops)
+                hop_counts.append(len(path) - 1)
             elif witness is None:
-                witness = (s, t, last)
+                witness = (s, t, path[-1])
     if not hop_counts:
         return witness, 0, 0.0
     return witness, max(hop_counts), sum(hop_counts) / len(hop_counts)
@@ -256,6 +254,52 @@ def oracle_binary_tree_sets(tree):
                 sliced = [x for x in below[c] if depth[x] <= i]
                 sets.add(tuple(sorted([v, *sliced, *other])))
     return tuple(sorted(sets))
+
+
+def oracle_weight_midpoint(seq, sizes):
+    """Split index of ``seq`` minimizing |left weight - right weight| by a
+    linear scan over every cut, ties leftmost; weights are ``sizes[c]``."""
+    total = sum(sizes[c] for c in seq)
+    best_cut = 1
+    best_diff = None
+    running = 0
+    for cut in range(1, len(seq)):
+        running += sizes[seq[cut - 1]]
+        diff = abs(2 * running - total)
+        if best_diff is None or diff < best_diff:
+            best_diff = diff
+            best_cut = cut
+    return best_cut
+
+
+def oracle_embedding_parents(tree):
+    """The parent list ``embed_into_binary``'s docstring defines, split by
+    ``oracle_weight_midpoint`` on explicit child lists, with subtree sizes
+    from walking parents. Placeholders take the ids from n up as they are
+    made, and the part made last is split next."""
+    n = tree.n
+    sizes = [0] * n
+    for x in range(n):
+        walk = x
+        while walk is not None:
+            sizes[walk] += 1
+            walk = tree.parent[walk]
+    parent = list(tree.parent)
+    for u in range(n):
+        kids = [x for x in range(n) if tree.parent[x] == u]
+        if len(kids) <= 2:
+            continue
+        pending = [(u, kids)]
+        while pending:
+            host, seq = pending.pop()
+            cut = oracle_weight_midpoint(seq, sizes)
+            for part in (seq[:cut], seq[cut:]):
+                if len(part) == 1:
+                    parent[part[0]] = host
+                else:
+                    parent.append(host)
+                    pending.append((len(parent) - 1, part))
+    return parent
 
 
 def seeded(seed):

@@ -58,9 +58,8 @@ def _audit_trace(trace, g, system, memdim):
         problems.append("recorded initial distance disagrees with a recount")
     if not (trace.hops <= d0 <= memdim):
         problems.append("hop count exceeds the distance or dimension bound")
-    masks = g.neighbor_masks
     for a, b in zip(trace.path, trace.path[1:]):
-        if not masks[a] >> b & 1:
+        if b not in g.adjacency[a]:
             problems.append(f"path step {a}->{b} is not an edge")
             break
     if trace.delivered and (trace.path[-1] != trace.target or hops[-1] != 0):

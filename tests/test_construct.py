@@ -32,6 +32,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     oracle_binary_tree_sets,
+    oracle_embedding_parents,
     oracle_is_ancestor,
     path_graph,
     random_binary_tree,
@@ -209,6 +210,39 @@ def test_embedding_preserves_ancestry_and_height_bound(n, seed, skew):
             assert oracle_is_ancestor(tree, a, c) == oracle_is_ancestor(b, a, c)
     bound = 3 * tree.height[tree.root] + 2 * math.ceil(math.log2(n)) + 3
     assert b.height[b.root] <= bound
+
+
+def _broom(weights):
+    """Root 0 with one child per weight, in id order 1..d; child i carries a
+    chain below it so that its subtree holds ``weights[i - 1]`` vertices."""
+    parents = [None] + [0] * len(weights)
+    for child, weight in enumerate(weights, start=1):
+        below = child
+        for _ in range(weight - 1):
+            parents.append(below)
+            below = len(parents) - 1
+    return RootedTree(parents, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        # Few distinct weights, so equal sides and tied cuts are common.
+        st.lists(st.integers(min_value=1, max_value=3), min_size=3, max_size=24),
+        st.lists(st.integers(min_value=1, max_value=12), min_size=3, max_size=24),
+    )
+)
+def test_embedding_splits_match_the_linear_midpoint(weights):
+    tree = _broom(weights)
+    assert list(embed_into_binary(tree).tree.parent) == oracle_embedding_parents(tree)
+
+
+@pytest.mark.parametrize("shape", ["star", "hub", "uniform"])
+def test_embedding_matches_the_linear_midpoint_on_trees(shape):
+    rng = seeded(19)
+    for n in list(range(1, 40)) + [97, 300]:
+        tree = RootedTree([None] + [0] * (n - 1), 0) if shape == "star" else random_tree(rng, n, shape)
+        assert list(embed_into_binary(tree).tree.parent) == oracle_embedding_parents(tree)
 
 
 class TestTreeCategories:

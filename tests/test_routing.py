@@ -101,6 +101,59 @@ class TestGreedyRoute:
             greedy_route(PATH3, CategorySystem(5, [(0,)]), 0, 2)
 
 
+class TestFullShare:
+    """A hop stops reading neighbours at the first improving one that holds
+    every category of the target; these pin that the choice is the one the
+    full scan makes."""
+
+    # Hub 0 with leaves 1..4; 2 and 3 hold all of cat(4), 1 only part of it,
+    # and 0 holds one category of its own.
+    HUB = Graph(5, [(0, v) for v in range(1, 5)])
+    HUB_SETS = CategorySystem(5, [(1, 2, 3, 4), (2, 3, 4), (0,)])
+
+    def test_neighbor_below_the_target_with_a_full_share_wins(self):
+        # 1 holds both of 3's categories and comes before 3 itself.
+        g = Graph(4, [(0, v) for v in range(1, 4)])
+        s = CategorySystem(4, [(1, 3), (1, 2, 3)])
+        assert greedy_step(g, s, 0, 3) == 1
+        trace = greedy_route(g, s, 0, 3)
+        assert trace.path == (0, 1)
+        assert trace.hop_distances == (2, 0)
+        assert not trace.delivered
+
+    def test_two_full_shares_go_to_the_smaller_id(self):
+        assert greedy_step(self.HUB, self.HUB_SETS, 0, 4) == 2
+        assert greedy_route(self.HUB, self.HUB_SETS, 0, 4).path == (0, 2)
+
+    def test_a_partial_share_does_not_end_the_scan(self):
+        # 1 shares one of the target's two categories, as many as the hub
+        # holds; the target itself, read later, shares both.
+        g = Graph(3, [(0, 1), (0, 2)])
+        s = CategorySystem(3, [(1, 2), (2,), (0,)])
+        assert greedy_step(g, s, 0, 2) == 2
+        trace = greedy_route(g, s, 0, 2)
+        assert trace.path == (0, 2)
+        assert trace.hop_distances == (2, 0)
+        assert trace.delivered
+
+    def test_target_without_categories(self):
+        g = Graph(3, [(0, 1), (0, 2)])
+        s = CategorySystem(3, [(0, 1)])
+        assert greedy_step(g, s, 0, 2) is None
+        trace = greedy_route(g, s, 0, 2)
+        assert trace.path == (0,)
+        assert trace.hop_distances == (0,)
+        assert not trace.delivered
+
+    def test_source_holding_every_category_of_the_target_is_stuck(self):
+        s = CategorySystem(3, [(0, 1, 2), (0,)])
+        assert greedy_step(PATH3, s, 0, 2) is None
+        trace = greedy_route(PATH3, s, 0, 2)
+        assert trace.path == (0,)
+        assert trace.hop_distances == (0,)
+        assert not trace.delivered
+
+
 class TestVerticesWithoutNeighbors:
     def test_isolated_source_is_stuck(self):
         g = Graph(2, [])
@@ -211,8 +264,7 @@ def test_every_pair_matches_the_definition_walk(pair):
     for source in range(g.n):
         for target in range(g.n):
             trace = greedy_route(g, s, source, target)
-            walk = oracle_greedy_walk(g, s, source, target)
-            assert (trace.delivered, trace.hops, trace.path[-1]) == walk
+            assert (trace.delivered, trace.path) == oracle_greedy_walk(g, s, source, target)
             assert trace.hop_distances == tuple(oracle_distance(s, v, target) for v in trace.path)
             if source != target:
                 assert greedy_step(g, s, source, target) == oracle_greedy_step(g, s, source, target)
