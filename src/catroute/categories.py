@@ -22,7 +22,8 @@ share one canonicalisation that works on masks alone:
   per-membership scatter costs one Python step per membership.
 * **Member tuples on first read.** ``categories`` is built from the masks
   when first read, so construction, routing and the membership dimension
-  never make one Python int per membership.
+  never make one Python int per membership. Serialization builds none:
+  it picks each member's name string straight off the masks.
 
 Interchange format, shared by the CLI subcommands:
 
@@ -34,7 +35,7 @@ with the outer list in canonical order (lexicographic by member list).
 from __future__ import annotations
 
 import json
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import index
 
 from .errors import ParseError, ValidationError
@@ -54,15 +55,16 @@ _SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0
 _TILE = 128
 
 
-def _member_tuples(masks, size):
-    """Ascending member tuple of each non-negative mask below ``2**size``.
+def _member_tuples(masks, labels):
+    """Each non-negative mask below ``2**len(labels)`` as the ascending tuple
+    of its members' labels, bit v standing for ``labels[v]``.
 
     Only non-zero bytes and members take Python steps: ``compress`` skips the
-    zero bytes in C over one table of each byte's 8 member ids, and one
+    zero bytes in C over one table of each byte's 8 labels, and one
     ``translate`` that deletes the zeros yields the non-zero byte values. The
-    tuples share the table's int objects, one per vertex id.
+    tuples share the table's label objects, one per vertex.
     """
-    octets = [tuple(range(j, j + 8)) for j in range(0, size, 8)]
+    octets = [tuple(labels[j:j + 8]) for j in range(0, len(labels), 8)]
     bits = _BYTE_BITS
     tuples = []
     for mask in masks:
@@ -74,7 +76,7 @@ def _member_tuples(masks, size):
 
 def _members(mask):
     """Ascending member tuple of a non-negative mask."""
-    return _member_tuples((mask,), mask.bit_length())[0]
+    return _member_tuples((mask,), range(mask.bit_length()))[0]
 
 
 def _check_size(n):
@@ -83,24 +85,28 @@ def _check_size(n):
 
 
 def _set_masks(n, sets):
-    """The distinct masks of ``sets``.
+    """The distinct masks of ``sets``, in order of first appearance.
 
     The size is checked before any set is read. Sets are range-checked in
     input order; an out-of-range message names the set's first offending
     member in input order, so ``sets`` must yield re-iterable member
-    collections.
+    collections. A member is scattered through two tables indexed by vertex
+    id, its byte offset and its bit value. Kept in input order, the masks of
+    a canonical file reach ``_canonical_order``'s sort as one sorted run.
     """
     _check_size(n)
-    masks = set()
+    masks = {}
     width = (n + 7) >> 3
+    byte = [v >> 3 for v in range(n)]
+    bit = [1 << (v & 7) for v in range(n)]
     for members in sets:
         if members and (min(members) < 0 or max(members) >= n):
             bad = next(v for v in members if not 0 <= v < n)
             raise ValidationError(f"category member {bad} out of range for n={n}")
         row = bytearray(width)
         for v in members:
-            row[v >> 3] |= 1 << (v & 7)
-        masks.add(int.from_bytes(row, "little"))
+            row[byte[v]] |= bit[v]
+        masks[int.from_bytes(row, "little")] = None
     return masks
 
 
@@ -207,7 +213,7 @@ class CategorySystem:
     def categories(self):
         """Each category's ascending member tuple, built on first read."""
         if self._categories is None:
-            self._categories = tuple(_member_tuples(self.category_masks, self.n))
+            self._categories = tuple(_member_tuples(self.category_masks, range(self.n)))
         return self._categories
 
     @property
@@ -259,10 +265,10 @@ def parse_categories(text, n):
     sets = payload["categories"]
     if not isinstance(sets, list):
         raise ParseError('"categories" must be a list of member lists')
-    for members in sets:
-        # JSON numbers decode to exactly int or float; bools are their own type.
-        if not isinstance(members, list) or not set(map(type, members)) <= {int}:
-            raise ParseError("each category must be a list of integer vertex ids")
+    # JSON numbers decode to exactly int or float; bools are their own type.
+    # The rows are checked first, so the members' scan reads only lists.
+    if not set(map(type, sets)) <= {list} or not set(map(type, chain.from_iterable(sets))) <= {int}:
+        raise ParseError("each category must be a list of integer vertex ids")
     system = CategorySystem.__new__(CategorySystem)
     system._setup(n, _set_masks(n, sets))
     return system
@@ -272,9 +278,9 @@ def serialize_categories(system):
     """Canonical JSON form; parse -> serialize -> parse is the identity.
 
     The text is that of ``json.dumps`` with compact separators, joined from
-    one string per vertex id, so a member costs one lookup in C rather than
-    one int-to-text conversion.
+    one string per vertex id picked straight off the masks, so a member costs
+    no int-to-text conversion and no member tuple is built.
     """
-    names = list(map(str, range(system.n))).__getitem__
-    rows = ",".join(["[%s]" % ",".join(map(names, members)) for members in system.categories])
+    names = list(map(str, range(system.n)))
+    rows = ",".join(["[%s]" % ",".join(members) for members in _member_tuples(system.category_masks, names)])
     return '{"n":%d,"categories":[%s]}\n' % (system.n, rows)

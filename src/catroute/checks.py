@@ -13,7 +13,8 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
+from operator import and_
 
 from .categories import _BYTE_BITS, _members, membership_dimension
 from .errors import InternalCheckError
@@ -176,7 +177,7 @@ def _packed_counts(vertex_masks, lo, hi, code):
     size = hi - lo
     square = array(code, bytes(size * size * array(code).itemsize))
     for i, m in enumerate(targets):
-        row = array(code, map(int.bit_count, map(m.__and__, targets[i:])))
+        row = array(code, list(map(int.bit_count, map(and_, repeat(m), targets[i:]))))
         square[i * size + i:(i + 1) * size] = row
         square[i * size + i::size] = row
     packed = []
@@ -184,7 +185,7 @@ def _packed_counts(vertex_masks, lo, hi, code):
         if lo <= v < hi:
             row = square[(v - lo) * size:(v - lo + 1) * size]
         else:
-            row = array(code, map(int.bit_count, map(m.__and__, targets)))
+            row = array(code, list(map(int.bit_count, map(and_, repeat(m), targets))))
         if sys.byteorder == "big":
             row.byteswap()
         packed.append(int.from_bytes(row, "little"))
@@ -223,9 +224,10 @@ def _next_hops(adjacency, packed, size, width):
             own = gt & ~taken
             if own:
                 taken |= gt
-                # One byte per field, 0 or 1, read as binary digits.
-                digits = (own >> shift).to_bytes(nbytes, "little")[::step]
-                into[v].append((u, int(digits.translate(_BINARY_DIGITS)[::-1], 2)))
+                # The low byte of each field, 0 or 1, highest field first,
+                # read as binary digits.
+                digits = (own >> shift).to_bytes(nbytes, "big")[step - 1::step]
+                into[v].append((u, int(digits.translate(_BINARY_DIGITS), 2)))
     return into
 
 

@@ -22,7 +22,7 @@ from catroute import (
     verify_all_pairs_routing,
 )
 from catroute import categories
-from catroute.categories import _members
+from catroute.categories import _member_tuples, _members
 from catroute.fixtures import counterexample_cycle
 
 from conftest import (
@@ -210,8 +210,9 @@ class TestParseAndSerialize:
             parse_categories(f'{{"n":3,"categories":[[0],[2,{member}]]}}', 3)
 
     def test_member_type_checked_before_range(self):
-        with pytest.raises(ParseError):
-            parse_categories('{"n":3,"categories":[[7],[true]]}', 3)
+        for rows in ("[[7],[true]]", "[[0],[2,1.5]]", "[[7],[2,1.5]]", "[[-1],[1.5]]"):
+            with pytest.raises(ParseError):
+                parse_categories(f'{{"n":3,"categories":{rows}}}', 3)
 
     def test_out_of_range_names_first_offending_member_in_input_order(self):
         with pytest.raises(ValidationError, match=r"^category member 7 out of range for n=5$"):
@@ -356,6 +357,27 @@ def _member_tuple(mask, n):
 
 
 @st.composite
+def _labelled_masks(draw):
+    """Masks below 2**n with one distinct string label per vertex, n often
+    not a multiple of 8."""
+    n = draw(st.sampled_from((0, 1, 3, 7, 8, 9, 13, 15, 17, 63, 65, 300)))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    if n:
+        masks += [(1 << n) - 1, 1 << (n - 1)]
+    return n, [f"v{v}" for v in range(n)], masks
+
+
+@settings(max_examples=100, deadline=None)
+@given(_labelled_masks())
+def test_member_tuples_pick_labels_off_the_masks(case):
+    n, labels, masks = case
+    expected = [_member_tuple(mask, n) for mask in masks]
+    assert _member_tuples(masks, labels) == [tuple(labels[v] for v in members) for members in expected]
+    assert _member_tuples(masks, range(n)) == expected
+    assert [_members(mask) for mask in masks] == expected
+
+
+@st.composite
 def _mask_families(draw):
     """Distinct masks, the empty one included, in a drawn order over small
     universes on both sides of a byte and a 64-bit word: random sets, prefix
@@ -420,6 +442,9 @@ def test_member_tuples_are_built_on_first_read():
     assert is_internally_connected(g, system).holds
     assert verify_all_pairs_routing(g, system).holds
     assert system._categories is None and twin._categories is None
+    text = serialize_categories(system)
+    assert system._categories is None
+    assert parse_categories(text, g.n)._categories is None
     early = copy.copy(system)
     assert early._categories is None and early == system
     built = system.categories
@@ -428,3 +453,45 @@ def test_member_tuples_are_built_on_first_read():
     assert late.categories is built
     assert early.categories == built
     assert greedy_route(g, late, 0, g.n - 1).delivered
+
+
+def test_serialize_reads_no_member_tuples(monkeypatch):
+    systems = [graph_categories(generate(GeneratorSpec(*row[:4]))) for row in GOLDEN_BYTES]
+    monkeypatch.setattr(CategorySystem, "categories", property(lambda self: pytest.fail("member tuples built")))
+    for system, row in zip(systems, GOLDEN_BYTES):
+        assert hashlib.sha256(serialize_categories(system).encode()).hexdigest() == row[4]
+
+
+@st.composite
+def _non_canonical_files(draw):
+    """Category files in a drawn non-canonical form, with the raw rows they
+    hold: the rows shuffled or in reversed canonical order, some rows
+    repeated, and members repeated and out of order within a row."""
+    n = draw(st.one_of(st.integers(1, 20), st.sampled_from((63, 64, 65)), st.integers(250, 300)))
+    member = st.integers(0, n - 1)
+    canonical = sorted({tuple(sorted(members)) for members in draw(
+        st.lists(st.frozensets(member, min_size=1, max_size=12), max_size=12))})
+    rows = [list(members) for members in canonical]
+    if draw(st.booleans()):
+        rows.reverse()
+    else:
+        rows = draw(st.permutations(rows))
+    if rows:
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)):
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+    for row in rows:
+        row += draw(st.lists(st.sampled_from(row), max_size=3))
+        row[:] = draw(st.permutations(row))
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_non_canonical_files())
+@example((9, [[8, 0], [0], [1, 0, 1]]))
+@example((17, [[16], [9, 8], [0, 16, 0], [9, 8]]))
+def test_parse_matches_canonical_oracle_on_non_canonical_files(case):
+    n, rows = case
+    expected = oracle_canonical(n, rows)
+    parsed = parse_categories(json.dumps({"n": n, "categories": rows}), n)
+    _assert_matches_oracle(parsed, n, expected)
+    assert serialize_categories(parsed) == _row_list_json(parsed)
