@@ -21,7 +21,7 @@ from .checks import route_statistics
 from .construct import tree_categories
 from .errors import InternalCheckError, ValidationError
 from .generators import GeneratorSpec, generate
-from .graph import _eccentricity_levels, bfs_spanning_tree
+from .graph import _root_and_diameter, bfs_spanning_tree
 
 ALL_PAIRS_CAP = 500
 
@@ -67,9 +67,9 @@ def bench_one(spec):
     """Generate one instance, construct its categories, verify all pairs.
 
     Specs with more than ``ALL_PAIRS_CAP`` vertices are rejected before
-    anything is generated. The root (the first vertex of minimum
+    anything is generated. The root (the lowest vertex of minimum
     eccentricity, as ``choose_root`` picks it) and the diameter come from one
-    pass over the eccentricity levels (the peel and one BFS on a tree, the
+    pass of ``_root_and_diameter`` (the centre peel alone on a tree, the
     reach sweep otherwise), and the categories are ``graph_categories``' sets
     on that root's BFS tree.
     """
@@ -79,10 +79,9 @@ def bench_one(spec):
         )
     g = generate(spec)
     started = time.perf_counter()
-    levels = list(_eccentricity_levels(g))
-    system = tree_categories(bfs_spanning_tree(g, levels[0][1][0]))
+    root, diam = _root_and_diameter(g)
+    system = tree_categories(bfs_spanning_tree(g, root))
     construct_millis = int(round((time.perf_counter() - started) * 1000))
-    diam = levels[-1][0]
     memdim = membership_dimension(system)
     report, max_len, mean_len = route_statistics(g, system)
     if not report.holds:

@@ -168,29 +168,24 @@ def is_path(g):
     return g.n >= 2 and all(len(a) <= 2 for a in g.adjacency) and is_tree(g)
 
 
-def _eccentricity_levels(g):
-    """Yield ``(k, vertices of eccentricity k)`` for increasing k, ids ascending.
+def _root_and_diameter(g):
+    """Yield the lowest vertex of minimum eccentricity, then the diameter.
 
     Requires n >= 1. A graph with n - 1 edges is first peeled to its centre
-    C (``_peel_to_centre``). If it is a tree of radius r, then
-    ecc(v) = r + dist(v, C). The triangle inequality gives ecc(v) at most
-    dist(v, c) + ecc(c) for a centre c. With one centre c, every longest
-    path has c as its middle vertex, so at least two branches at c reach
-    depth r; v lies in at most one of them, and the deepest vertex of another
-    is r + dist(v, c) away. With two centres a and b, every longest path has
-    the edge ab as its middle, so cutting ab leaves a's side and b's side
-    each reaching depth r - 1; for v on a's side the deepest vertex of b's
-    side is dist(v, a) + 1 + (r - 1) away. So the levels are r and the
-    sorted centres, then the layers of one BFS from C, each sorted. The first
-    level comes straight from the peel, so ``choose_root`` on a tree costs
-    O(n) steps and O(n) memory; the other levels cost one BFS more.
+    C (``_peel_to_centre``). If it is a tree of radius r, the centres are
+    its vertices of eccentricity r, so the root is min(C), and a longest
+    path has C as its middle vertex or middle edge, so the diameter is 2r
+    for one centre and 2r - 1 for two: 2r - |C| + 1. Both come from the
+    peel alone, O(n) steps and O(n) memory, with no BFS.
 
     Every other graph runs a bit-parallel BFS from all sources at once (the
     reach sweep of Akiba, Iwata and Yoshida, SIGMOD 2013). At level k each
     vertex holds its ball of radius k as a vertex bitmask, and its ball of
     radius k + 1 is the OR of its own and its neighbours' balls of radius k.
     A vertex's eccentricity is the level at which its ball becomes the whole
-    vertex set, and it then leaves the sweep. A level costs one n-bit OR per
+    vertex set, and it then leaves the sweep. The sweep visits vertices in
+    ascending order, so the first full vertex is the root; the level at
+    which the last one fills is the diameter. A level costs one n-bit OR per
     adjacency entry of a vertex still in the sweep, so the sweep runs
     O(diam * m) big-int ORs, and its two lists of balls hold about
     2 * n^2 / 8 bytes at peak. On a connected graph vertex 0's ball grows at
@@ -202,45 +197,35 @@ def _eccentricity_levels(g):
     """
     n = g.n
     if n == 1:
-        yield 0, [0]
+        yield 0
+        yield 0
         return
-    adjacency = g.adjacency
     peeled = _peel_to_centre(g) if g.num_edges == n - 1 else None
     if peeled is not None:
-        k, level = peeled
-        seen = bytearray(n)
-        for c in level:
-            seen[c] = 1
-        while level:
-            yield k, level
-            reached = []
-            for u in level:
-                for v in adjacency[u]:
-                    if not seen[v]:
-                        seen[v] = 1
-                        reached.append(v)
-            reached.sort()
-            level = reached
-            k += 1
+        radius, centre = peeled
+        yield min(centre)
+        yield 2 * radius - len(centre) + 1
         return
+    adjacency = g.adjacency
     full = (1 << n) - 1
     prev = [1 << v for v in range(n)]
     cur = prev[:]
     active = range(n)
+    root = None
     k = 0
     while active:
         k += 1
-        done = []
         still = []
         for v in active:
             r = prev[v]
             for u in adjacency[v]:
                 r |= prev[u]
             cur[v] = r
-            if r == full:
-                done.append(v)
-            else:
+            if r != full:
                 still.append(v)
+            elif root is None:
+                root = v
+                yield root
         if len(still) == n and cur[0] == prev[0]:
             missing = full ^ cur[0]
             raise DisconnectedGraphError(0, (missing & -missing).bit_length() - 1)
@@ -249,12 +234,11 @@ def _eccentricity_levels(g):
         # it, and they are full by level k + 1 and out of the sweep.
         prev, cur = cur, prev
         active = still
-        if done:
-            yield k, done
+    yield k
 
 
 def _peel_to_centre(g):
-    """``(radius, sorted centres)`` of ``g``, a graph on n >= 2 vertices with
+    """``(radius, centres)`` of ``g``, a graph on n >= 2 vertices with
     n - 1 edges, if it is a tree, else None.
 
     Removes all current leaves at once, layer by layer, tracking degrees,
@@ -283,42 +267,42 @@ def _peel_to_centre(g):
                 if degree[u] == 1:
                     nxt.append(u)
         layer = nxt
-    layer.sort()
     return (layers if left == 1 else layers + 1), layer
 
 
 def diameter(g):
-    """Max shortest-path distance over all pairs: the last eccentricity level
-    (see ``_eccentricity_levels``). On a tree that is the peel and one BFS,
-    O(n) steps and memory; on any other graph, the whole reach sweep."""
+    """Max shortest-path distance over all pairs, the second value of
+    ``_root_and_diameter``: on a tree 2r - |C| + 1 from the centre peel, with
+    no BFS, O(n) steps and memory; on any other graph, the whole reach
+    sweep."""
     if g.n == 0:
         raise ValidationError("diameter of an empty graph is undefined")
-    return max(k for k, _ in _eccentricity_levels(g))
+    _, diam = _root_and_diameter(g)
+    return diam
 
 
 def choose_root(g):
     """Deterministic root choice: minimum eccentricity, ties by smallest id.
 
-    Requires a connected graph. The root is the lowest vertex of the first
-    eccentricity level (see ``_eccentricity_levels``): on a tree the smaller
-    centre, straight from the peel with no BFS; on any other graph the lowest
-    full vertex at the reach sweep's first level, so the sweep runs radius
-    levels rather than diameter levels.
+    Requires a connected graph. The root is the first value of
+    ``_root_and_diameter``: on a tree the smaller centre, straight from the
+    peel; on any other graph the lowest vertex whose ball fills first in the
+    reach sweep, so the sweep stops within its first full level, after
+    radius levels rather than diameter levels.
     """
     if g.n == 0:
         raise ValidationError("cannot choose a root in an empty graph")
-    return next(_eccentricity_levels(g))[1][0]
+    return next(_root_and_diameter(g))
 
 
 class RootedTree:
     """A tree with a distinguished root and derived per-vertex structure.
 
-    ``parent[root]`` is None; ``children`` lists are sorted; ``height`` is the
-    longest downward path length; ``order`` lists the vertices top-down in BFS
-    order, root first.
+    ``parent[root]`` is None; ``children`` lists are sorted; ``order`` lists
+    the vertices top-down in BFS order, root first.
     """
 
-    __slots__ = ("root", "parent", "children", "height", "order")
+    __slots__ = ("root", "parent", "children", "order")
 
     def __init__(self, parent, root):
         parent = list(parent)
@@ -339,14 +323,9 @@ class RootedTree:
             order.extend(children[u])
         if len(order) != n:
             raise ValidationError("parent array does not form a tree on all vertices")
-        height = [0] * n
-        for u in reversed(order):
-            if children[u]:
-                height[u] = 1 + max(height[c] for c in children[u])
         self.root = root
         self.parent = tuple(parent)
         self.children = tuple(tuple(c) for c in children)
-        self.height = tuple(height)
         self.order = tuple(order)
 
     @property

@@ -228,6 +228,15 @@ def oracle_is_ancestor(tree, a, b):
     return False
 
 
+def tree_height(tree):
+    """Length of the longest downward path from the root of a ``RootedTree``:
+    its deepest depth, filling depths top-down along ``order``."""
+    depth = [0] * tree.n
+    for v in tree.order[1:]:
+        depth[v] = depth[tree.parent[v]] + 1
+    return max(depth)
+
+
 def oracle_binary_tree_sets(tree):
     """The sets ``binary_tree_categories``' docstring defines, re-derived as
     member tuples: per vertex v its descendants (v included) and, for each

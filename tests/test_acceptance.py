@@ -38,6 +38,7 @@ from conftest import (
     random_connected_graph,
     random_tree,
     seeded,
+    tree_height,
 )
 
 SEED_BASE = 0x5EED
@@ -140,7 +141,7 @@ def test_criterion_3_binary_tree_construction():
     for _ in range(200):
         tree = random_binary_tree(rng, rng.randint(1, 200))
         system = binary_tree_categories(tree)
-        h = tree.height[tree.root]
+        h = tree_height(tree)
         bound = (h + 1) * (2 * h + 3)
         memdim = membership_dimension(system)
         assert memdim <= bound
@@ -179,8 +180,8 @@ def test_criterion_4_embedding_preserves_ancestry():
                     embedded_ancestors.add(walk)
                 walk = b.parent[walk]
             assert embedded_ancestors == original_ancestors
-        bound = 3 * tree.height[tree.root] + 2 * math.ceil(math.log2(n)) + 3
-        assert b.height[b.root] <= bound
+        bound = 3 * tree_height(tree) + 2 * math.ceil(math.log2(n)) + 3
+        assert tree_height(b) <= bound
     elapsed = time.perf_counter() - started
     _report(4, f"200 embeddings exact on ancestry, heights in bound, "
                f"{placeholder_total} placeholders total ({elapsed:.1f}s)")

@@ -198,6 +198,22 @@ class TestStats:
         )
 
 
+    @pytest.mark.parametrize(
+        "edges, diam",
+        [
+            (serialize_edge_list(path_graph(6)), 5),
+            (serialize_edge_list(path_graph(7)), 6),
+            (serialize_edge_list(star_graph(9)), 2),
+            ("0 2\n2 1\n1 3\n", 3),
+        ],
+        ids=["path-6-two-centres", "path-7-one-centre", "star-9", "0-2-1-3"],
+    )
+    def test_tree_diameter_from_the_centre(self, tmp_path, capsys, edges, diam):
+        graph_file = tmp_path / "tree.edges"
+        graph_file.write_text(edges)
+        assert main(["stats", "--graph", str(graph_file)]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == f"diam={diam}"
+
     def test_dimension_vertex_is_a_hub(self, tmp_path, capsys):
         # Under the graph construction the star's center holds the most
         # categories; every leaf has degree 1.

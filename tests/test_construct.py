@@ -40,6 +40,7 @@ from conftest import (
     random_tree,
     seeded,
     star_graph,
+    tree_height,
 )
 
 
@@ -121,7 +122,7 @@ class TestBinaryTreeCategories:
         for _ in range(20):
             tree = random_binary_tree(rng, rng.randint(1, 60))
             s = binary_tree_categories(tree)
-            h = tree.height[tree.root]
+            h = tree_height(tree)
             assert membership_dimension(s) <= (h + 1) * (2 * h + 3)
             assert_construction_contract(tree.graph, s)
 
@@ -168,7 +169,7 @@ class TestEmbedIntoBinary:
         tree = bfs_spanning_tree(path_graph(6), 0)
         emb = embed_into_binary(tree)
         assert emb.tree.n == 6
-        assert emb.tree.height[0] == tree.height[0]
+        assert tree_height(emb.tree) == tree_height(tree)
 
     def test_heavy_child_stays_shallow(self):
         # Root has 3 children; one carries a chain of 6, the others are leaves.
@@ -208,8 +209,8 @@ def test_embedding_preserves_ancestry_and_height_bound(n, seed, skew):
     for a in range(n):
         for c in range(n):
             assert oracle_is_ancestor(tree, a, c) == oracle_is_ancestor(b, a, c)
-    bound = 3 * tree.height[tree.root] + 2 * math.ceil(math.log2(n)) + 3
-    assert b.height[b.root] <= bound
+    bound = 3 * tree_height(tree) + 2 * math.ceil(math.log2(n)) + 3
+    assert tree_height(b) <= bound
 
 
 def _broom(weights):
@@ -307,7 +308,7 @@ def test_hubs_stay_under_the_cushion(shape, n):
     memdim = membership_dimension(system)
     assert memdim <= 16 * (diameter(g) + math.ceil(math.log2(n)) + 1) ** 2
     b = embed_into_binary(tree).tree
-    h = b.height[b.root]
+    h = tree_height(b)
     assert memdim <= (h + 1) * (2 * h + 3)
     assert is_shattered(g, system).holds
     assert is_internally_connected(g, system).holds

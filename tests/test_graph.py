@@ -226,10 +226,9 @@ class TestBfsSpanningTree:
         assert set(tree.graph.edges()) == {(0, 1), (0, 2), (0, 3)}
         assert diameter(tree.graph) == 2
 
-    def test_depth_and_height_bookkeeping(self):
+    def test_depth_and_children_bookkeeping(self):
         tree = bfs_spanning_tree(cycle_graph(4), 0)
         assert bfs_distances(tree.graph, tree.root) == [0, 1, 2, 1]
-        assert tree.height == (2, 1, 0, 0)
         assert tree.children == ((1, 3), (2,), (), ())
 
     def test_disconnected_input(self):
@@ -396,9 +395,10 @@ def _oracle_levels(g):
 @example(Graph(4, [(0, 2), (2, 1), (1, 3)]))
 def test_chosen_root_has_minimum_eccentricity(g):
     # The peel and the reach sweep behind choose_root and diameter against
-    # one BFS per vertex, level by level.
+    # one BFS per vertex: the lowest vertex of the lowest level, then the
+    # highest level.
     levels = _oracle_levels(g)
-    assert list(graph_module._eccentricity_levels(g)) == levels
+    assert list(graph_module._root_and_diameter(g)) == [levels[0][1][0], levels[-1][0]]
     assert diameter(g) == levels[-1][0]
     assert choose_root(g) == levels[0][1][0]
 
