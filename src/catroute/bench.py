@@ -18,10 +18,10 @@ from dataclasses import dataclass, fields
 
 from .categories import membership_dimension
 from .checks import route_statistics
-from .construct import tree_categories
+from .construct import _categories
 from .errors import InternalCheckError, ValidationError
 from .generators import GeneratorSpec, generate
-from .graph import _root_and_diameter, bfs_spanning_tree
+from .graph import _root_and_diameter
 
 ALL_PAIRS_CAP = 500
 
@@ -70,8 +70,8 @@ def bench_one(spec):
     anything is generated. The root (the lowest vertex of minimum
     eccentricity, as ``choose_root`` picks it) and the diameter come from one
     pass of ``_root_and_diameter`` (the centre peel alone on a tree, the
-    reach sweep otherwise), and the categories are ``graph_categories``' sets
-    on that root's BFS tree.
+    reach sweep otherwise), and the categories come from ``graph_categories``'
+    rule, given that root for the BFS tree should the halfspaces not apply.
     """
     if spec.n > ALL_PAIRS_CAP:
         raise ValidationError(
@@ -80,7 +80,7 @@ def bench_one(spec):
     g = generate(spec)
     started = time.perf_counter()
     root, diam = _root_and_diameter(g)
-    system = tree_categories(bfs_spanning_tree(g, root))
+    system = _categories(g, root)
     construct_millis = int(round((time.perf_counter() - started) * 1000))
     memdim = membership_dimension(system)
     report, max_len, mean_len = route_statistics(g, system)

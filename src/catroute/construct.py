@@ -1,18 +1,21 @@
 """Constructions that equip a connected graph with categories greedy routing can use.
 
-One rule picks the construction, from the shape of a rooted spanning tree T
-(``tree_categories``; ``graph_categories`` takes T as the BFS tree from a
-center vertex):
+One rule picks the construction. ``graph_categories``, ``bench_one`` and
+``catroute construct`` all go through it:
 
-* if T is a path, every vertex gets one prefix set and one suffix set along
-  it, which is exact: the membership dimension equals the path's length;
-* otherwise T is reshaped to binary form by ``embed_into_binary``: the child
-  list of a vertex with three or more children is split recursively at its
-  weight midpoint, and each part of two or more children hangs from a
-  placeholder vertex. An original vertex v and the placeholders under it
-  form v's gadget. Its levels are v itself (level 0), then the placeholders
-  under v, one gadget depth at a time; the parts of a level all sit at one
-  embedded depth. A vertex with at most two children has one level.
+* if g is a partial cube with exactly diam(g) Theta classes, g gets its
+  halfspaces (below): memdim = diam, and every route is a shortest path;
+* otherwise ``tree_categories`` runs on the BFS tree T from a center vertex.
+  If T is a path, it gets the same halfspaces on T (``path_categories``):
+  one prefix set and one suffix set per edge, so memdim is the path's
+  length. Otherwise T is reshaped to binary form by ``embed_into_binary``:
+  the child list of a vertex with three or more children is split
+  recursively at its weight midpoint, and each part of two or more children
+  hangs from a placeholder vertex. An original vertex v and the
+  placeholders under it form v's gadget. Its levels are v itself (level 0),
+  then the placeholders under v, one gadget depth at a time; the parts of a
+  level all sit at one embedded depth. A vertex with at most two children
+  has one level.
 
   Every original vertex v gets the set of its descendants and, per level of
   its gadget and per side (the first or the second child of each part, in
@@ -23,11 +26,57 @@ center vertex):
   On a tree whose vertices have at most two children every vertex is its
   own level-0 part, and these are the sets of ``binary_tree_categories``.
 
-Why greedy routing delivers. Every set is connected on T: the T-parent of
-an original vertex is its closest original ancestor in the embedded tree,
-so every member of one of v's sets other than v has its T-parent in the set
-too. Take a source s and a target t != s; the next vertex u on the tree path
-from s to t is strictly closer to t than s:
+Halfspaces. A partial cube is a graph whose vertices can be labelled with
+bit strings so that graph distance equals Hamming distance (Djokovic, JCTB
+1973; Winkler, DAM 1984). Each bit is one Theta class of edges, and for any
+edge ab of a class, the class splits the vertices into the halfspaces
+W_ab = {x : d(x, a) < d(x, b)} and W_ba. The system of all halfspaces puts
+every vertex in one halfspace per class, so memdim is the class count, and
+|cat(t) \\ cat(s)| counts the classes that separate s and t, which is
+dist(s, t). So every greedy hop moves one step along a shortest path, and
+since any system that routes has memdim >= diam, a class count equal to
+diam(g) is optimal. Paths, even cycles, grids and hypercubes qualify; a
+tree is a partial cube whose classes are its edges, so among trees only
+paths do.
+
+Recognition (``_halfspaces``) runs no all-sources sweep:
+
+* one BFS from vertex 0 finds an odd cycle if there is one, and ecc(0).
+  diam <= 2 ecc(0), so more than 2 ecc(0) classes rule the graph out;
+* each BFS-tree edge ab no class has cut yet gets one BFS from a and b at
+  once (``_split``; a bipartite graph has no ties). Its two sides are W_ab
+  and W_ba, and every edge across them joins the class. A cut that crosses
+  an edge some earlier class holds rules the graph out;
+* the certificate: for every vertex s, the AND of s's own halfspaces over
+  the classes of its edges must be {s} alone;
+* the antipode test: some vertex's label complement must be another
+  vertex's label.
+
+Why the certificate suffices. Every edge is cut by exactly its own class:
+one class at least, since a pair of adjacent vertices that no class
+separates would both lie in all of s's halfspaces, and no second class,
+since that cut would cross a classified edge. So the Hamming distance
+H(s, t) of the labels is at most dist(s, t). Conversely, for t != s the
+certificate gives an edge su whose class puts t on u's side; stepping to u
+flips only that class, so H(u, t) = H(s, t) - 1, and induction gives a
+path of H(s, t) edges: dist(s, t) <= H(s, t). With H = dist, diam is the
+largest Hamming distance, which equals the class count exactly when two
+labels differ in every class: the antipode test. The certificate is
+required: without it, K_{2,3} passes the other tests with 2 classes and
+diam 2, yet its halfspaces leave two vertices with one label, and a route
+between them gets stuck.
+
+Cost: one BFS from 0, then at most 2 ecc(0) two-source BFS of O(n + m)
+steps each, which also collect the cut edges; the certificate takes one
+n-bit AND per edge end. O(ecc(0) (n + m)) steps in all. ``graph_categories``
+reaches the recognition only on graphs with a cycle; a tree goes straight to
+``tree_categories``, which finds a path itself.
+
+Why greedy routing delivers on the level families. Every set is connected
+on T: the T-parent of an original vertex is its closest original ancestor in
+the embedded tree, so every member of one of v's sets other than v has its
+T-parent in the set too. Take a source s and a target t != s; the next
+vertex u on the tree path from s to t is strictly closer to t than s:
 
 * every set that holds t and s is connected on T, so it holds u as well;
 * if u is a child of s, u's subtree set holds t and u but not s;
@@ -61,39 +110,140 @@ from .categories import CategorySystem
 from .errors import ValidationError
 from .graph import (
     RootedTree,
-    bfs_distances,
     bfs_spanning_tree,
     choose_root,
     is_path,
 )
 
+# Reads a ``_split`` side array (1 for a's side, 2 for b's) as binary digits,
+# 1 on a's side.
+_NEAR = bytes.maketrans(b"\x01\x02", b"10")
+
 
 def path_categories(g):
-    """Prefix/suffix interval categories for a path graph.
+    """The halfspaces of a path graph: per edge, the vertices on either side
+    of it, a prefix and a suffix of the path.
 
-    Vertices are ranked by distance from the smaller-id endpoint; each rank i
-    contributes the set of vertices before it and the set after it. Empty
-    sets drop out, so a path on n vertices yields 2(n-1) sets and every vertex
-    lands in exactly n-1 of them: the membership dimension equals the
-    diameter, and greedy routing follows the unique shortest path.
+    A path on n vertices yields 2(n-1) sets and every vertex lands in exactly
+    n-1 of them: the membership dimension equals the diameter, and greedy
+    routing follows the unique shortest path. A path is the tree whose class
+    count n - 1 equals its diameter, so this is the halfspace system of the
+    module docstring: on a tree the classes are the edges, and the halfspaces
+    are the subtree masks and their complements, O(n) big-int ORs where the
+    recognition would run one BFS per edge. A graph that is not a path raises
+    ``ValidationError``.
     """
     if not is_path(g):
         raise ValidationError("input graph is not a path")
-    start = min(v for v in range(g.n) if g.degree(v) == 1)
-    rank = bfs_distances(g, start)
-    by_rank = [None] * g.n
-    for v, r in enumerate(rank):
-        by_rank[r] = v
+    # Rooted at its lowest end, each vertex of the path is the next one's
+    # parent.
+    adjacency = g.adjacency
+    v = next(v for v, nbrs in enumerate(adjacency) if len(nbrs) == 1)
+    order, parent = [v], [None] * g.n
+    for _ in range(g.n - 1):
+        nbrs = adjacency[v]
+        u = nbrs[-1] if nbrs[0] == parent[v] else nbrs[0]
+        parent[u] = v
+        order.append(u)
+        v = u
+    full = (1 << g.n) - 1
+    below = _subtree_masks(order, parent, [1 << v for v in range(g.n)])
+    return CategorySystem.from_masks(g.n, [m for v in order[1:] for m in (below[v], full ^ below[v])])
+
+
+def _split(adjacency, n, a, b, crossed):
+    """One BFS from the ends of edge ab at once, a bipartite graph's cut of
+    ab: ``(W_ab as a vertex mask, the ends on a's side, the ends on b's
+    side)`` of the edges across it, or None if one of those edges is in
+    ``crossed`` already.
+
+    A vertex takes the side of the source that reaches it first, so W_ab is
+    {x : d(x, a) < d(x, b)}. An edge across the cut is seen from both of its
+    ends, each in turn. Each end is listed on its side once per such edge,
+    and ``crossed`` gains the edge in both directions as ``u * n + v``.
+    """
+    side = bytearray(n)
+    side[a] = 1
+    side[b] = 2
+    ends = (None, [], [])
+    queue = [a, b]
+    for u in queue:
+        su = side[u]
+        for v in adjacency[u]:
+            sv = side[v]
+            if not sv:
+                side[v] = su
+                queue.append(v)
+            elif sv != su:
+                key = u * n + v
+                if key in crossed:
+                    return None
+                crossed.add(key)
+                ends[su].append(u)
+    return int(side.translate(_NEAR)[::-1], 2), ends[1], ends[2]
+
+
+def _halfspaces(g):
+    """The system of all halfspaces of ``g`` when ``g`` is a connected
+    partial cube with exactly diam(g) Theta classes, else None.
+
+    Follows the recognition of the module docstring: a BFS from vertex 0
+    (no odd cycle, ecc(0)), at most 2 ecc(0) cuts from BFS-tree edges by
+    ``_split``, then the certificate and the antipode test. None on fewer
+    than two vertices, and on a disconnected graph.
+    """
+    n = g.n
+    if n < 2:
+        return None
+    adjacency = g.adjacency
+    dist = [-1] * n
+    dist[0] = 0
+    parent = [0] * n
+    order = [0]
+    for u in order:
+        du = dist[u]
+        for v in adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = du + 1
+                parent[v] = u
+                order.append(v)
+            elif dist[v] == du:
+                return None  # an edge within a level closes an odd cycle
+    if len(order) < n:
+        return None
+    cap = 2 * dist[order[-1]]  # diam <= 2 ecc(0)
+    full = (1 << n) - 1
+    certificate = [full] * n
+    crossed = set()
     masks = []
-    prefix = 0
-    for i in range(g.n - 1):
-        prefix |= 1 << by_rank[i]
-        masks.append(prefix)  # the set before rank i+1
-    suffix = 0
-    for i in range(g.n - 1, 0, -1):
-        suffix |= 1 << by_rank[i]
-        masks.append(suffix)  # the set after rank i-1
-    return CategorySystem.from_masks(g.n, masks)
+    for v in order[1:]:
+        a = parent[v]
+        if v * n + a in crossed:
+            continue
+        if len(masks) == 2 * cap:
+            return None  # one class more than diam can reach
+        cut = _split(adjacency, n, a, v, crossed)
+        if cut is None:
+            return None
+        near, near_ends, far_ends = cut
+        far = full ^ near
+        masks += (near, far)
+        for s in near_ends:
+            certificate[s] &= near
+        for s in far_ends:
+            certificate[s] &= far
+    # Each AND keeps s itself, so the certificate holds iff each is {s}.
+    if sum(map(int.bit_count, certificate)) != n:
+        return None
+    system = CategorySystem.from_masks(n, masks)
+    # Each vertex lies in one halfspace per class, so a label's complement
+    # over all the categories is the label of a vertex every class separates
+    # from it.
+    labels = set(system.vertex_masks)
+    top = (1 << len(masks)) - 1
+    if not any(top ^ label in labels for label in labels):
+        return None
+    return system
 
 
 def binary_tree_categories(tree):
@@ -175,11 +325,11 @@ def embed_into_binary(tree):
 
 
 def tree_categories(tree):
-    """Categories for an arbitrary rooted tree: the path construction on the
-    tree's graph when the tree is a path, else the level families of its
-    binary embedding (see the module docstring). The result is internally
-    connected and shattered on the tree, so greedy routing delivers every
-    pair on it and on any graph that contains its edges."""
+    """Categories for an arbitrary rooted tree: the halfspaces of the tree's
+    graph (``path_categories``) when the tree is a path, else the level
+    families of its binary embedding (see the module docstring). The result
+    is internally connected and shattered on the tree, so greedy routing
+    delivers every pair on it and on any graph that contains its edges."""
     # A vertex with three or more children rules out a path without
     # building the tree's graph.
     if max(map(len, tree.children)) <= 2:
@@ -190,16 +340,40 @@ def tree_categories(tree):
 
 
 def graph_categories(g):
-    """Categories for an arbitrary connected graph.
-
-    Takes the BFS spanning tree rooted at a minimum-eccentricity vertex (its
-    diameter is at most twice the graph's) and applies ``tree_categories``.
-    Greedy routing then works on the graph itself: every tree step is still
-    available, extra edges only add options, and strict decrease rules out
-    cycles.
+    """Categories for an arbitrary connected graph, by the rule of the module
+    docstring: its halfspaces when it is a partial cube with diam(g) classes,
+    else ``tree_categories`` on the BFS spanning tree rooted at a
+    minimum-eccentricity vertex (its diameter is at most twice the
+    graph's). Greedy routing then works on the graph itself: every tree step
+    is still available, extra edges only add options, and strict decrease
+    rules out cycles.
     """
-    root = choose_root(g)
+    return _categories(g)
+
+
+def _categories(g, root=None):
+    """The one construction rule, shared by ``graph_categories``,
+    ``bench_one`` and ``catroute construct``. ``root`` is the BFS tree's root
+    when the caller already has ``choose_root(g)``; otherwise it is chosen
+    only if the halfspaces do not apply. A graph with n - 1 edges skips the
+    recognition: if connected it is a tree, whose halfspaces apply exactly
+    when it is a path, and ``tree_categories`` takes its path branch then."""
+    if g.num_edges != g.n - 1:
+        system = _halfspaces(g)
+        if system is not None:
+            return system
+    if root is None:
+        root = choose_root(g)
     return tree_categories(bfs_spanning_tree(g, root))
+
+
+def _subtree_masks(order, parent, bit):
+    """Per vertex of a tree listed top-down in ``order``, with ``parent``, the
+    OR of ``bit`` over its subtree."""
+    subtree = list(bit)
+    for v in reversed(order[1:]):
+        subtree[parent[v]] |= subtree[v]
+    return subtree
 
 
 def _masks(tree):
@@ -209,12 +383,7 @@ def _masks(tree):
     b = embed_into_binary(tree).tree
     children = b.children
     bit = [1 << v if v < n else 0 for v in range(b.n)]
-    subtree = [0] * b.n
-    for v in reversed(b.order):
-        mask = bit[v]
-        for c in children[v]:
-            mask |= subtree[c]
-        subtree[v] = mask
+    subtree = _subtree_masks(b.order, b.parent, bit)
     masks = subtree[:n]
     for v in range(n):
         # The child tuples of the parts on one level of v's gadget. Level 0

@@ -313,3 +313,39 @@ def oracle_embedding_parents(tree):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def oracle_theta_classes(g):
+    """The Djokovic-Winkler classes of a connected graph, or None when it is
+    not a partial cube.
+
+    Edges xy and uv are in relation Theta when d(x, u) + d(y, v) differs
+    from d(x, v) + d(y, u), with every distance from its own BFS. A
+    connected graph is a partial cube iff it is bipartite and Theta is
+    transitive (Winkler, DAM 1984); its classes are then the classes of
+    Theta. Returns a list of edge lists.
+    """
+    dist = [bfs_distances(g, v) for v in range(g.n)]
+    edges = list(g.edges())
+    if any(dist[0][x] % 2 == dist[0][y] % 2 for x, y in edges):
+        return None
+    rows = [
+        tuple(dist[x][u] + dist[y][v] != dist[x][v] + dist[y][u] for (u, v) in edges)
+        for (x, y) in edges
+    ]
+    # Theta is reflexive and symmetric; it is transitive iff related edges
+    # have equal rows, and each distinct row is then one class.
+    if any(rows[j] != row for row in rows for j, related in enumerate(row) if related):
+        return None
+    return [[e for e, related in zip(edges, row) if related] for row in dict.fromkeys(rows)]
+
+
+def oracle_halfspaces(g, classes):
+    """W_ab = {x : d(x, a) < d(x, b)} and W_ba for one edge ab of each class,
+    as member tuples."""
+    sets = []
+    for (a, b), *_ in classes:
+        da, db = bfs_distances(g, a), bfs_distances(g, b)
+        sets.append(tuple(x for x in range(g.n) if da[x] < db[x]))
+        sets.append(tuple(x for x in range(g.n) if db[x] < da[x]))
+    return sets

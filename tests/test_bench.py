@@ -6,6 +6,10 @@ from catroute import (
     DisconnectedGraphError,
     GeneratorSpec,
     ValidationError,
+    diameter,
+    generate,
+    graph_categories,
+    membership_dimension,
     parse_edge_list,
     run_fixtures,
 )
@@ -119,10 +123,10 @@ PINNED_ROWS = (
     "201,random-tree,500,499,22,155,true,22,8.9751,0.161647",
     "202,path,100,99,99,99,true,99,33.6667,0.008870",
     "202,path,500,499,499,499,true,499,167.0000,0.001934",
-    "203,cycle,100,100,50,99,true,98,33.1717,0.030855",
-    "203,cycle,500,500,250,499,true,498,166.5010,0.007441",
-    "204,grid,100,180,18,90,true,19,7.5939,0.148192",
-    "204,grid,500,955,43,329,true,44,17.4680,0.121832",
+    "203,cycle,100,100,50,50,true,50,25.2525,0.015583",
+    "203,cycle,500,500,250,250,true,250,125.2505,0.003728",
+    "204,grid,100,180,18,18,true,18,6.6667,0.029638",
+    "204,grid,500,955,43,43,true,43,15.0000,0.015923",
     "205,star,100,99,2,26,true,2,1.9800,0.347983",
     "205,star,500,499,2,31,true,2,1.9960,0.257800",
     "206,complete,100,4950,1,26,true,1,1.0000,0.444988",
@@ -135,6 +139,17 @@ PINNED_ROWS = (
 def test_csv_is_pinned():
     rows = _csv_without_millis(run_benchmark(PINNED_SPECS))
     assert [",".join(cells) for cells in rows] == list(PINNED_ROWS)
+
+
+@pytest.mark.parametrize("spec", PINNED_SPECS, ids=[f"{s.family}-{s.n}" for s in PINNED_SPECS])
+def test_pinned_specs_meet_the_diameter_bound(spec):
+    # Any system that routes has memdim >= diam; paths, grids and even
+    # cycles are partial cubes with diam classes, so their halfspaces meet it.
+    g = generate(spec)
+    memdim, diam = membership_dimension(graph_categories(g)), diameter(g)
+    assert memdim >= diam
+    if spec.family in ("path", "grid") or (spec.family == "cycle" and spec.n % 2 == 0):
+        assert memdim == diam
 
 
 class TestSpecsFromJson:

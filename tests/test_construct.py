@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, compress
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from catroute import (
     CategorySystem,
+    GeneratorSpec,
     Graph,
     RootedTree,
     ValidationError,
@@ -13,27 +15,34 @@ from catroute import (
     binary_tree_categories,
     bfs_spanning_tree,
     choose_root,
+    construct,
     diameter,
     embed_into_binary,
+    generate,
     graph_categories,
     greedy_route,
     impossibility_pair,
+    is_connected,
     is_internally_connected,
     is_path,
     is_shattered,
     membership_dimension,
     path_categories,
+    route_statistics,
     tree_categories,
     verify_all_pairs_routing,
 )
-from catroute.construct import _masks
+from catroute.construct import _halfspaces, _masks
 
 from conftest import (
     complete_graph,
     cycle_graph,
     oracle_binary_tree_sets,
     oracle_embedding_parents,
+    oracle_halfspaces,
     oracle_is_ancestor,
+    oracle_memberships,
+    oracle_theta_classes,
     path_graph,
     random_binary_tree,
     random_connected_graph,
@@ -325,8 +334,9 @@ def _level_builder(tree):
 
 class TestOneRule:
     """graph_categories, bench_one and `catroute construct` share one rule:
-    the path construction when the BFS tree from the chosen root is a path,
-    the level builder on that tree otherwise."""
+    the halfspaces when the graph is a partial cube with diam(g) classes,
+    else the path construction when the BFS tree from the chosen root is a
+    path, the level builder on that tree otherwise."""
 
     @pytest.mark.parametrize(
         "g",
@@ -336,13 +346,23 @@ class TestOneRule:
     def test_a_path_gets_the_path_construction(self, g):
         assert graph_categories(g) == path_categories(g)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 10])
+    @pytest.mark.parametrize("n", [3, 5])
     def test_a_cycle_gets_the_path_construction_on_its_bfs_tree(self, n):
+        # Odd cycles only: they have no halfspaces.
         g = cycle_graph(n)
         tree = bfs_spanning_tree(g, choose_root(g))
         system = graph_categories(g)
         assert system == path_categories(tree.graph)
         assert membership_dimension(system) == n - 1
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_an_even_cycle_gets_its_arcs_of_half_its_length(self, n):
+        # Each halfspace of an even cycle is an arc of n/2 consecutive
+        # vertices, and there are n of them.
+        system = graph_categories(cycle_graph(n))
+        arcs = {tuple(sorted((i + j) % n for j in range(n // 2))) for i in range(n)}
+        assert set(system.categories) == arcs and system.num_categories == n
+        assert membership_dimension(system) == n // 2
 
     def test_a_hub_tree_gets_the_level_builder(self):
         tree = bfs_spanning_tree(HUB_TREE, choose_root(HUB_TREE))
@@ -353,10 +373,152 @@ class TestOneRule:
         rng = seeded(43)
         graphs = [random_connected_graph(rng, rng.randint(1, 30)) for _ in range(20)]
         graphs += [path_graph(n) for n in (2, 3, 9)] + [random_tree(rng, 25).graph]
+        graphs += [cycle_graph(n) for n in (6, 7, 12)] + [generate(GeneratorSpec("grid", n)) for n in (12, 30)]
+        graphs += [_hypercube(3), K23, K24]
         for g in graphs:
-            tree = bfs_spanning_tree(g, choose_root(g))
-            expected = path_categories(tree.graph) if is_path(tree.graph) else _level_builder(tree)
+            classes = oracle_theta_classes(g) if g.n >= 2 else None
+            if classes is not None and len(classes) == diameter(g):
+                expected = CategorySystem(g.n, oracle_halfspaces(g, classes))
+            else:
+                tree = bfs_spanning_tree(g, choose_root(g))
+                expected = path_categories(tree.graph) if is_path(tree.graph) else _level_builder(tree)
             assert graph_categories(g) == expected
+
+
+def _hypercube(d):
+    return Graph(1 << d, ((v, v ^ 1 << i) for v in range(1 << d) for i in range(d)))
+
+
+# Bipartite, with two Theta classes and diam 2, but no partial cube: 0, 1
+# and 2 share one label in the halfspace system.
+K23 = Graph(5, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
+K24 = Graph(6, [(u, v) for u in range(4) for v in (4, 5)])
+
+
+def _connected_labelled_graphs(max_n):
+    """Every connected graph on 2..max_n vertices, one per edge set."""
+    for n in range(2, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, compress(pairs, [bits >> i & 1 for i in range(len(pairs))]))
+            if is_connected(g):
+                yield g
+
+
+def _has_odd_cycle(g):
+    depth = bfs_distances(g, 0)
+    return any(depth[u] % 2 == depth[v] % 2 for u, v in g.edges())
+
+
+def _assert_shortest_routes(g, system):
+    """|cat(t) \\ cat(s)| is the BFS distance for every pair, and greedy routing
+    takes exactly that many hops."""
+    owned = oracle_memberships(system)
+    for s in range(g.n):
+        dist = bfs_distances(g, s)
+        for t in range(g.n):
+            assert len(owned[t] - owned[s]) == dist[t]
+            if s != t:
+                trace = greedy_route(g, system, s, t)
+                assert trace.delivered and trace.hops == dist[t]
+
+
+class TestHalfspaces:
+    def test_every_small_graph_against_the_theta_oracle(self, monkeypatch):
+        # _halfspaces accepts exactly the partial cubes with diam(g) classes
+        # among all 27,475 connected graphs on 2 to 6 labelled vertices, and
+        # a graph with an odd cycle is turned away before any cut.
+        cuts = []
+        split = construct._split
+        monkeypatch.setattr(construct, "_split", lambda *args: cuts.append(args) or split(*args))
+        seen = accepted = 0
+        for g in _connected_labelled_graphs(6):
+            seen += 1
+            cuts.clear()
+            classes = oracle_theta_classes(g)
+            system = _halfspaces(g)
+            expected = classes is not None and len(classes) == diameter(g)
+            assert (system is not None) == expected, sorted(g.edges())
+            if _has_odd_cycle(g):
+                assert not cuts, sorted(g.edges())
+            if system is not None:
+                accepted += 1
+                assert system == CategorySystem(g.n, oracle_halfspaces(g, classes))
+                assert graph_categories(g) == system
+                _assert_shortest_routes(g, system)
+        assert (seen, accepted) == (27475, 1279)
+
+    def test_random_bipartite_graphs_against_the_theta_oracle(self):
+        rng = seeded(59)
+        tried = 0
+        while tried < 300:
+            n = rng.randint(7, 10)
+            left = rng.randint(1, n - 1)
+            p = rng.choice((0.2, 0.3, 0.5))
+            g = Graph(n, [(u, v) for u in range(left) for v in range(left, n) if rng.random() < p])
+            if not is_connected(g):
+                continue
+            tried += 1
+            classes = oracle_theta_classes(g)
+            system = _halfspaces(g)
+            assert (system is not None) == (classes is not None and len(classes) == diameter(g))
+            if system is not None:
+                _assert_shortest_routes(g, system)
+
+    @pytest.mark.parametrize("g", [K23, K24], ids=["K23", "K24"])
+    def test_complete_bipartite_graphs_fall_through_to_the_tree(self, g):
+        # Bipartition, cuts and the class count alone would accept these;
+        # the certificate turns them away.
+        assert _halfspaces(g) is None
+        tree = bfs_spanning_tree(g, choose_root(g))
+        system = graph_categories(g)
+        assert system == _level_builder(tree)
+        assert_construction_contract(g, system)
+
+    def test_the_halfspaces_of_k23_get_stuck(self):
+        # K_{2,3}'s halfspace system itself cannot route: 1 and 2 lie in
+        # the same categories, so a message from 0 to 2 reaches 1, at
+        # distance 0, and is stuck there.
+        classes = oracle_theta_classes(K23)
+        assert classes is None
+        sets = [(0, 4), (1, 2, 3), (0, 3), (1, 2, 4)]
+        report = verify_all_pairs_routing(K23, CategorySystem(5, sets))
+        assert not report.holds and report.witness == (0, 2, 1)
+
+    def test_random_non_path_trees_do_not_take_halfspaces(self):
+        # A tree has n - 1 classes, more than its diameter unless it is a
+        # path: the antipode test turns it away.
+        rng = seeded(61)
+        for _ in range(200):
+            tree = random_tree(rng, rng.randint(4, 12))
+            g = tree.graph
+            if not is_path(g):
+                assert _halfspaces(g) is None
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 300])
+    def test_a_path_gets_the_same_halfspaces_either_way(self, n):
+        g = path_graph(n)
+        assert _halfspaces(g) == path_categories(g)
+
+    @pytest.mark.parametrize("spec", [GeneratorSpec("grid", 100), GeneratorSpec("cycle", 60), GeneratorSpec("grid", 90)])
+    def test_grids_and_even_cycles_route_along_shortest_paths(self, spec):
+        g = generate(spec)
+        system = graph_categories(g)
+        assert membership_dimension(system) == diameter(g)
+        report, max_hops, _ = route_statistics(g, system)
+        assert report.holds and max_hops == diameter(g)
+        _assert_shortest_routes(g, system)
+        assert is_internally_connected(g, system).holds
+
+    def test_the_hypercube(self):
+        g = _hypercube(5)
+        system = graph_categories(g)
+        assert membership_dimension(system) == 5 and system.num_categories == 10
+        _assert_shortest_routes(g, system)
+
+    @pytest.mark.parametrize("g", [Graph(0), Graph(1), Graph(4, [(0, 1), (2, 3)])], ids=["empty", "one", "split"])
+    def test_degenerate_graphs_are_not_partial_cubes_here(self, g):
+        assert _halfspaces(g) is None
 
 
 class TestImpossibilityPair:
