@@ -8,23 +8,20 @@ One rule picks the construction. ``graph_categories``, ``bench_one`` and
 * otherwise ``tree_categories`` runs on the BFS tree T from a center vertex.
   If T is a path, it gets the same halfspaces on T (``path_categories``):
   one prefix set and one suffix set per edge, so memdim is the path's
-  length. Otherwise T is reshaped to binary form by ``embed_into_binary``:
-  the child list of a vertex with three or more children is split
-  recursively at its weight midpoint, and each part of two or more children
-  hangs from a placeholder vertex. An original vertex v and the
-  placeholders under it form v's gadget. Its levels are v itself (level 0),
-  then the placeholders under v, one gadget depth at a time; the parts of a
-  level all sit at one embedded depth. A vertex with at most two children
-  has one level.
+  length. Otherwise T gets its code families:
 
-  Every original vertex v gets the set of its descendants and, per level of
-  its gadget and per side (the first or the second child of each part, in
-  the embedded tree's sorted child order), one graded family. The family's
-  base is v plus the other side's subtrees of every part on the level; this
-  side's subtrees are added one embedded depth at a time, from none of them
-  to all but their deepest vertices. Placeholders get no sets of their own.
-  On a tree whose vertices have at most two children every vertex is its
-  own level-0 part, and these are the sets of ``binary_tree_categories``.
+  Every vertex v gets the set of its descendants. A vertex with k >= 2
+  children gets m(k) families, m(k) the fewest bits m with
+  C(m, floor(m/2)) >= k: each child c takes its own floor(m/2)-subset
+  code(c) of the m bits, the tallest children the first subsets in
+  lexicographic order. Family j has as its base v plus the subtrees of the
+  children whose code holds j; the subtrees of the other children, its near
+  side, are added one depth at a time, from none of them to all but their
+  deepest vertices. A vertex with one child gets no family, except the
+  root, whose one child is the near side of one family with base {root}. On
+  a tree whose vertices have at most two children the two children of a
+  vertex take the codes {0} and {1}, and these are the sets of
+  ``binary_tree_categories``.
 
 Halfspaces. A partial cube is a graph whose vertices can be labelled with
 bit strings so that graph distance equals Hamming distance (Djokovic, JCTB
@@ -72,39 +69,45 @@ n-bit AND per edge end. O(ecc(0) (n + m)) steps in all. ``graph_categories``
 reaches the recognition only on graphs with a cycle; a tree goes straight to
 ``tree_categories``, which finds a path itself.
 
-Why greedy routing delivers on the level families. Every set is connected
-on T: the T-parent of an original vertex is its closest original ancestor in
-the embedded tree, so every member of one of v's sets other than v has its
-T-parent in the set too. Take a source s and a target t != s; the next
-vertex u on the tree path from s to t is strictly closer to t than s:
+Why greedy routing delivers on the code families. Every set is connected
+on T: every member of one of v's sets other than v has its T-parent in the
+set too. Take a source s and a target t != s; the next vertex u on the tree
+path from s to t is strictly closer to t than s:
 
 * every set that holds t and s is connected on T, so it holds u as well;
 * if u is a child of s, u's subtree set holds t and u but not s;
-* otherwise u is s's parent. Let v be the lowest common ancestor of s and t
-  in T: s lies below a child a of v, and t is v or lies below another
-  child b. The gadget paths to a and b split at one part (take the part
-  just above a if t is v), and s lies on its side σ. The family of that
-  part's level and side σ has t in its base, and its slice just above s's
-  embedded depth holds u (u is v, or u lies above s on the near side) but
-  not s.
+* otherwise u is s's parent. Let w be the lowest common ancestor of s and
+  t in T, and a the child of w that s is or lies below. If t lies below
+  another child b, the codes of a and b are distinct sets of one size, so
+  some bit j is in code(b) and not in code(a): family j of w has t in its
+  base and a on its near side, and its slice just above s's depth holds u
+  (u is w, or lies above s on the near side) but not s. If t is w, take
+  the lowest ancestor-or-self x of w with a family whose near side holds
+  the child of x toward s: a vertex with two or more children has one,
+  since a code of floor(m/2) of m bits misses a bit, and so does the root.
+  That family's slice just above s's depth holds u and t, which lie on the
+  tree path from x down to s above s, but not s.
 
 So d(u, t) < d(s, t) on T, and on any graph containing T's edges greedy
 forwarding has a strictly closer neighbour at every step.
 
-Membership cost. A vertex x lies in one subtree set per original
-ancestor-or-self, and in two families of at most h + 1 sets each per gadget
-level that is x's own or lies above x, h the embedded tree's height. These
-levels sit at distinct embedded depths, so there are at most h of them, and
-x lies in at most (h+1)(2h+3) sets, with h <= 3 * height + 2 * ceil(log2 n)
-+ 3. A hub with k children pays about 2 * ceil(log2 k) * (h + 1) for its own
-gadget.
+Membership cost. A vertex x lies in one subtree set per ancestor-or-self,
+and in at most h_v + 1 sets of each family of an ancestor-or-self v, h_v
+the height of v: at most (h + 1)(1 + M (h + 1)) sets, h the tree's height
+and M the largest m(k). No routing system puts a vertex with k pendant
+neighbours in fewer than m(k) categories (Sperner's theorem), so a star's
+hub, in its m(k) families and the set of all vertices, is one above the
+optimum. And m(k) <= 2 ceil(log2 k), the families a binary split of the k
+children into halves, quarters and so on would need.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
+from math import comb
+from operator import or_
 
 from .categories import CategorySystem
 from .errors import ValidationError
@@ -248,13 +251,14 @@ def _halfspaces(g):
 
 def binary_tree_categories(tree):
     """Subtree plus graded-slice categories for a rooted tree in which every
-    vertex has at most two children.
+    vertex has at most two children: the code families of the module
+    docstring, one per child.
 
-    Per vertex v: the set of v's descendants (v included); and, for each child
-    c of v, one set per depth i from depth(v) up to depth(v) plus c's height,
-    holding v, c's subtree cut off at depth i, and the whole subtree of v's
-    other child, if any. Which child is which does not matter: both take
-    their turn as the sliced one.
+    Per vertex v: the set of v's descendants (v included); and, for each
+    child c of v when v has two children or is the root, one set per depth i
+    from depth(v) up to depth(v) plus c's height, holding v, c's subtree cut
+    off at depth i, and the whole subtree of v's other child, if any. Which
+    child is which does not matter: both take their turn as the sliced one.
 
     The result is shattered and internally connected on the tree's graph, and
     each vertex lies in at most (h+1)(2h+3) sets, h the tree height: for each
@@ -278,6 +282,9 @@ class EmbeddingMap:
 
 def embed_into_binary(tree):
     """Reshape a rooted tree so every vertex has at most two children.
+
+    No construction calls it: the code families need no placeholders. It
+    stays a public helper.
 
     A vertex with three or more children has its id-ordered child list split
     recursively at the weight midpoint (weight of a child = its subtree size;
@@ -326,8 +333,8 @@ def embed_into_binary(tree):
 
 def tree_categories(tree):
     """Categories for an arbitrary rooted tree: the halfspaces of the tree's
-    graph (``path_categories``) when the tree is a path, else the level
-    families of its binary embedding (see the module docstring). The result
+    graph (``path_categories``) when the tree is a path, else its subtree
+    sets and code families (see the module docstring). The result
     is internally connected and shattered on the tree, so greedy routing
     delivers every pair on it and on any graph that contains its edges."""
     # A vertex with three or more children rules out a path without
@@ -376,35 +383,58 @@ def _subtree_masks(order, parent, bit):
     return subtree
 
 
-def _masks(tree):
-    """The subtree sets and level families of every original vertex, built on
-    the binary embedding of ``tree``, as vertex masks."""
-    n = tree.n
-    b = embed_into_binary(tree).tree
-    children = b.children
-    bit = [1 << v if v < n else 0 for v in range(b.n)]
-    subtree = _subtree_masks(b.order, b.parent, bit)
-    masks = subtree[:n]
-    for v in range(n):
-        # The child tuples of the parts on one level of v's gadget. Level 0
-        # is v alone; deeper parts are placeholders with two children each,
-        # so every part of a level has as many sides.
-        level = [children[v]] if children[v] else []
-        while level:
-            for side in range(len(level[0])):
-                base, near = bit[v], []
-                for pair in level:
-                    near.append(pair[side])
-                    if len(pair) == 2:
-                        base |= subtree[pair[1 - side]]
-                sliced = 0
-                while near:  # every depth but the deepest of the near side
-                    masks.append(base | sliced)
-                    deeper = []
-                    for x in near:
-                        sliced |= bit[x]
-                        deeper += children[x]
-                    near = deeper
-            level = [children[c] for pair in level for c in pair if c >= n]
-    return masks
+def _code_bits(k):
+    """m(k): the fewest code bits whose middle layer, the floor(m/2)-subsets
+    of m bits, has at least k members."""
+    m = 0
+    while comb(m, m // 2) < k:
+        m += 1
+    return m
 
+
+def _masks(tree):
+    """The subtree sets and code families of every vertex of ``tree`` (see
+    the module docstring), as vertex masks."""
+    n = tree.n
+    order, parent, children = tree.order, tree.parent, tree.children
+    bit = [1 << v for v in range(n)]
+    subtree = _subtree_masks(order, parent, bit)
+    height, depth = [0] * n, [0] * n
+    for v in reversed(order[1:]):
+        p = parent[v]
+        height[p] = max(height[p], height[v] + 1)
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    # upto[d] holds the vertices of depth at most d.
+    levels = [0] * (height[tree.root] + 1)
+    for v in range(n):
+        levels[depth[v]] |= bit[v]
+    upto = list(accumulate(levels, or_))
+    masks = subtree[:]
+    for v in order:
+        kids = children[v]
+        m = _code_bits(len(kids))
+        if v == tree.root and kids:
+            m = max(m, 1)  # a root with one child still needs its family
+        if not m:
+            continue
+        # Tallest first, ties by id: the first codes share their low bits, so
+        # few families get a tall near side.
+        kids = sorted(kids, key=height.__getitem__, reverse=True)
+        base, tall, below = [bit[v]] * m, [0] * m, 0
+        # Bits no code so far misses; the first child whose code misses j is
+        # the tallest on family j's near side.
+        unmissed = set(range(m))
+        for c, code in zip(kids, combinations(range(m), m // 2)):
+            below |= subtree[c]
+            for j in code:
+                base[j] |= subtree[c]
+            if unmissed:
+                for j in unmissed.difference(code):
+                    tall[j] = height[c]
+                unmissed.intersection_update(code)
+        for j in range(m):
+            near = below & ~base[j]
+            if near:
+                masks += [base[j] | near & upto[d] for d in range(depth[v], depth[v] + tall[j] + 1)]
+    return masks

@@ -7,6 +7,8 @@ independent of the implementation paths they check.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 from catroute import CategorySystem, Graph, RootedTree, bfs_distances
@@ -240,11 +242,12 @@ def tree_height(tree):
 def oracle_binary_tree_sets(tree):
     """The sets ``binary_tree_categories``' docstring defines, re-derived as
     member tuples: per vertex v its descendants (v included) and, for each
-    child c of v, one set per depth i from depth(v) up to depth(v) plus c's
-    height, holding v, the members of c's subtree at depth at most i, and the
-    whole subtree of v's other child, if any. Depths come from a BFS from the
-    root and descendants from walking parents. Returns the distinct sets in
-    lexicographic order, as ``CategorySystem.categories`` lists them."""
+    child c of v when v has two children or is the root, one set per depth i
+    from depth(v) up to depth(v) plus c's height, holding v, the members of
+    c's subtree at depth at most i, and the whole subtree of v's other child,
+    if any. Depths come from a BFS from the root and descendants from walking
+    parents. Returns the distinct sets in lexicographic order, as
+    ``CategorySystem.categories`` lists them."""
     depth = bfs_distances(tree.graph, tree.root)
     below = [[] for _ in range(tree.n)]
     for x in range(tree.n):
@@ -256,12 +259,53 @@ def oracle_binary_tree_sets(tree):
     for v in range(tree.n):
         sets.add(tuple(below[v]))
         kids = [x for x in range(tree.n) if tree.parent[x] == v]
+        if len(kids) == 1 and v != tree.root:
+            continue
         for c in kids:
             other = [x for k in kids if k != c for x in below[k]]
             height = max(depth[x] for x in below[c]) - depth[c]
             for i in range(depth[v], depth[v] + height + 1):
                 sliced = [x for x in below[c] if depth[x] <= i]
                 sets.add(tuple(sorted([v, *sliced, *other])))
+    return tuple(sorted(sets))
+
+
+def oracle_code_family_sets(tree):
+    """The sets of ``tree_categories`` on a tree that is not a path, as the
+    construct module docstring defines them, re-derived as member tuples:
+    per vertex v its descendants, and per vertex with k >= 2 children (or
+    the root with one) m families, m the least with C(m, floor(m/2)) >= k
+    (at least 1). The children, tallest first and ties by id, take the
+    floor(m/2)-subsets of range(m) in lexicographic order. Family j holds v
+    and the subtrees of the children whose code has j, plus the other
+    children's members at depth at most i, for i from depth(v) to
+    depth(v) plus the tallest of those children's heights."""
+    depth = bfs_distances(tree.graph, tree.root)
+    below = [[] for _ in range(tree.n)]
+    for x in range(tree.n):
+        walk = x
+        while walk is not None:
+            below[walk].append(x)
+            walk = tree.parent[walk]
+    height = [max(depth[x] for x in below[v]) - depth[v] for v in range(tree.n)]
+    sets = {tuple(below[v]) for v in range(tree.n)}
+    for v in range(tree.n):
+        kids = sorted((x for x in range(tree.n) if tree.parent[x] == v), key=lambda c: (-height[c], c))
+        if not kids or (len(kids) == 1 and v != tree.root):
+            continue
+        m = 1
+        while math.comb(m, m // 2) < len(kids):
+            m += 1
+        codes = list(itertools.combinations(range(m), m // 2))
+        for j in range(m):
+            held = [c for c, code in zip(kids, codes) if j in code]
+            missed = [c for c, code in zip(kids, codes) if j not in code]
+            if not missed:
+                continue
+            for i in range(depth[v], depth[v] + max(height[c] for c in missed) + 1):
+                members = [v, *(x for c in held for x in below[c])]
+                members += [x for c in missed for x in below[c] if depth[x] <= i]
+                sets.add(tuple(sorted(members)))
     return tuple(sorted(sets))
 
 

@@ -117,22 +117,22 @@ PINNED_SPECS = [
 ]
 PINNED_ROWS = (
     "seed,family,n,m,diam,memdim,all_pairs_ok,max_route_len,mean_route_len,ratio",
-    "200,gnp-connected,100,305,5,51,true,8,3.6851,0.376163",
-    "200,gnp-connected,500,1450,7,98,true,12,5.7521,0.384455",
-    "201,random-tree,100,99,13,64,true,13,5.9735,0.165854",
-    "201,random-tree,500,499,22,155,true,22,8.9751,0.161647",
+    "200,gnp-connected,100,305,5,23,true,7,3.6852,0.169642",
+    "200,gnp-connected,500,1450,7,51,true,11,5.6940,0.200074",
+    "201,random-tree,100,99,13,51,true,13,5.9735,0.132165",
+    "201,random-tree,500,499,22,145,true,22,8.9751,0.151218",
     "202,path,100,99,99,99,true,99,33.6667,0.008870",
     "202,path,500,499,499,499,true,499,167.0000,0.001934",
     "203,cycle,100,100,50,50,true,50,25.2525,0.015583",
     "203,cycle,500,500,250,250,true,250,125.2505,0.003728",
     "204,grid,100,180,18,18,true,18,6.6667,0.029638",
     "204,grid,500,955,43,43,true,43,15.0000,0.015923",
-    "205,star,100,99,2,26,true,2,1.9800,0.347983",
-    "205,star,500,499,2,31,true,2,1.9960,0.257800",
-    "206,complete,100,4950,1,26,true,1,1.0000,0.444988",
-    "206,complete,500,124750,1,31,true,1,1.0000,0.312132",
-    "207,watts-strogatz,100,200,9,55,true,12,5.7168,0.224737",
-    "207,watts-strogatz,500,1000,13,121,true,18,8.9661,0.250779",
+    "205,star,100,99,2,10,true,2,1.9800,0.133840",
+    "205,star,500,499,2,13,true,2,1.9960,0.108110",
+    "206,complete,100,4950,1,10,true,1,1.0000,0.171149",
+    "206,complete,500,124750,1,13,true,1,1.0000,0.130894",
+    "207,watts-strogatz,100,200,9,38,true,11,5.5758,0.155273",
+    "207,watts-strogatz,500,1000,13,93,true,16,8.8510,0.192748",
 )
 
 

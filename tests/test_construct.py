@@ -38,6 +38,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     oracle_binary_tree_sets,
+    oracle_code_family_sets,
     oracle_embedding_parents,
     oracle_halfspaces,
     oracle_is_ancestor,
@@ -280,6 +281,48 @@ class TestTreeCategories:
             assert_construction_contract(tree.graph, tree_categories(tree))
 
 
+class TestCodeFamilies:
+    def test_random_trees_match_the_oracle(self):
+        # Any root, leaves included, so roots with one child occur too.
+        rng = seeded(53)
+        for i in range(150):
+            n = rng.randint(3, 70)
+            g = random_tree(rng, n, skew="hub" if i % 2 else "uniform").graph
+            tree = bfs_spanning_tree(g, rng.randrange(n))
+            if not is_path(g):
+                assert tree_categories(tree).categories == oracle_code_family_sets(tree)
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 50])
+    def test_a_root_with_one_child_keeps_its_family(self, n):
+        # Rooted at a leaf, the star's hub is the root's only child. A route
+        # from another leaf to the root needs a set that holds the root and
+        # the hub but not the leaf: only the root's family has one.
+        g = star_graph(n)
+        tree = bfs_spanning_tree(g, 1)
+        assert tree.children[1] == (0,)
+        assert_construction_contract(g, tree_categories(tree))
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 50, 300, 1300])
+    def test_a_star_hub_sits_one_above_the_sperner_bound(self, n):
+        # k pendant leaves need their hub in m(k) categories, m(k) the least
+        # m with C(m, floor(m/2)) >= k; the hub also holds the set of all
+        # vertices.
+        k = n - 1
+        m = next(m for m in range(1, k + 1) if math.comb(m, m // 2) >= k)
+        system = graph_categories(star_graph(n))
+        assert system.vertex_masks[0].bit_count() == membership_dimension(system) == m + 1
+
+    def test_membership_stays_within_the_bound(self):
+        # At most (h + 1)(1 + M (h + 1)), M the most code bits at any vertex.
+        rng = seeded(59)
+        for i in range(40):
+            tree = random_tree(rng, rng.randint(2, 300), skew="hub" if i % 2 else "uniform")
+            h = tree_height(tree)
+            most = max(next(m for m in range(len(kids) + 1) if math.comb(m, m // 2) >= len(kids))
+                       for kids in tree.children)
+            assert membership_dimension(tree_categories(tree)) <= (h + 1) * (1 + max(most, 1) * (h + 1))
+
+
 class TestGraphCategories:
     def test_four_cycle_routes_all_twelve_pairs(self):
         g = cycle_graph(4)
@@ -309,8 +352,8 @@ class TestGraphCategories:
 @pytest.mark.parametrize("n", [5, 50, 300, 1300, 4000])
 @pytest.mark.parametrize("shape", ["star", "hub"])
 def test_hubs_stay_under_the_cushion(shape, n):
-    # The level families charge a hub per level of its gadget, not per
-    # placeholder: a star on 1300 vertices stays far below its cushion.
+    # The code families charge a hub about log2 of its degree families: a
+    # star on 1300 vertices stays far below its cushion.
     tree = bfs_spanning_tree(star_graph(n), 0) if shape == "star" else random_tree(seeded(n), n, skew="hub")
     g = tree.graph
     system = tree_categories(tree)
@@ -328,7 +371,7 @@ def test_hubs_stay_under_the_cushion(shape, n):
 HUB_TREE = random_tree(seeded(41), 30, skew="hub").graph
 
 
-def _level_builder(tree):
+def _code_families(tree):
     return CategorySystem.from_masks(tree.n, _masks(tree))
 
 
@@ -336,7 +379,7 @@ class TestOneRule:
     """graph_categories, bench_one and `catroute construct` share one rule:
     the halfspaces when the graph is a partial cube with diam(g) classes,
     else the path construction when the BFS tree from the chosen root is a
-    path, the level builder on that tree otherwise."""
+    path, its code families otherwise."""
 
     @pytest.mark.parametrize(
         "g",
@@ -367,7 +410,7 @@ class TestOneRule:
     def test_a_hub_tree_gets_the_level_builder(self):
         tree = bfs_spanning_tree(HUB_TREE, choose_root(HUB_TREE))
         assert not is_path(tree.graph)
-        assert graph_categories(HUB_TREE) == _level_builder(tree)
+        assert graph_categories(HUB_TREE) == _code_families(tree)
 
     def test_the_rule_on_random_graphs(self):
         rng = seeded(43)
@@ -381,7 +424,7 @@ class TestOneRule:
                 expected = CategorySystem(g.n, oracle_halfspaces(g, classes))
             else:
                 tree = bfs_spanning_tree(g, choose_root(g))
-                expected = path_categories(tree.graph) if is_path(tree.graph) else _level_builder(tree)
+                expected = path_categories(tree.graph) if is_path(tree.graph) else _code_families(tree)
             assert graph_categories(g) == expected
 
 
@@ -472,7 +515,7 @@ class TestHalfspaces:
         assert _halfspaces(g) is None
         tree = bfs_spanning_tree(g, choose_root(g))
         system = graph_categories(g)
-        assert system == _level_builder(tree)
+        assert system == _code_families(tree)
         assert_construction_contract(g, system)
 
     def test_the_halfspaces_of_k23_get_stuck(self):

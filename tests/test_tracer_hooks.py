@@ -12,7 +12,7 @@ import importlib.util
 from pathlib import Path
 
 import catroute.cli
-from catroute import GeneratorSpec, embed_into_binary, serialize_edge_list
+from catroute import GeneratorSpec, serialize_edge_list
 
 from conftest import path_graph, random_tree, seeded
 
@@ -44,7 +44,7 @@ def test_a_traced_run_fills_the_layers_and_restores_the_package(tmp_path):
     graph_file = tmp_path / "p.edges"
     graph_file.write_text(serialize_edge_list(path_graph(12)))
     cats_file = tmp_path / "p.json"
-    embedded = embed_into_binary(random_tree(seeded(3), 20, skew="hub")).tree
+    hub_tree = random_tree(seeded(3), 20, skew="hub")
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -53,6 +53,9 @@ def test_a_traced_run_fills_the_layers_and_restores_the_package(tmp_path):
         assert main(["construct", "--graph", str(graph_file), "--out", str(cats_file)]) == 0
         assert main(["check", "--graph", str(graph_file), "--cats", str(cats_file)]) == 0
         catroute.bench.bench_one(GeneratorSpec("star", 9, 1, {}))
+        # No construction embeds a tree any more, so the embedding is called
+        # here for its hook.
+        embedded = catroute.construct.embed_into_binary(hub_tree).tree
         catroute.construct.binary_tree_categories(embedded)
         g = path_graph(5)
         catroute.routing.greedy_route(g, catroute.construct.path_categories(g), 0, 4)
