@@ -67,22 +67,32 @@ def bench_one(spec):
     """Generate one instance, construct its categories, verify all pairs.
 
     Specs with more than ``ALL_PAIRS_CAP`` vertices are rejected before
-    anything is generated. The root (the lowest vertex of minimum
-    eccentricity, as ``choose_root`` picks it) and the diameter come from one
-    pass of ``_root_and_diameter`` (the centre peel alone on a tree, the
-    reach sweep otherwise), and the categories come from ``graph_categories``'
-    rule, given that root for the BFS tree should the halfspaces not apply.
+    anything is generated. The categories come from ``graph_categories``'
+    rule. Should the halfspaces not apply, its BFS tree's root (the lowest
+    vertex of minimum eccentricity, as ``choose_root`` picks it) and the
+    diameter come from one pass of ``_root_and_diameter`` (the centre peel
+    alone on a tree, the reach sweep otherwise). Should they apply, no pass
+    runs: the graph has diam(g) Theta classes and every vertex lies in one
+    halfspace of each, so the diameter is the membership dimension.
     """
     if spec.n > ALL_PAIRS_CAP:
         raise ValidationError(
             f"n={spec.n} exceeds the all-pairs verification cap of {ALL_PAIRS_CAP}"
         )
     g = generate(spec)
+    diam = None
+
+    def root_of(g):
+        nonlocal diam
+        root, diam = _root_and_diameter(g)
+        return root
+
     started = time.perf_counter()
-    root, diam = _root_and_diameter(g)
-    system = _categories(g, root)
+    system = _categories(g, root_of)
     construct_millis = int(round((time.perf_counter() - started) * 1000))
     memdim = membership_dimension(system)
+    if diam is None:
+        diam = memdim
     report, max_len, mean_len = route_statistics(g, system)
     if not report.holds:
         raise InternalCheckError(

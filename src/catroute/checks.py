@@ -196,13 +196,13 @@ def _next_hops(adjacency, packed, size, width):
     """``into[v]``: the ``(u, mask)`` pairs in which ``mask`` holds the targets
     (bit t - lo) whose next hop from ``u`` is ``v``.
 
-    ``routing._step``'s rule runs for all targets at once. Each field holds a
-    count below 2^(width-1), so its top bit is a free guard:
-    ``((c_v | guard) - ones - best) & guard`` fires exactly the fields in
-    which ``v`` shares strictly more than the best so far, with no borrow
-    between fields, and those fields of ``best`` take ``v``'s count. Adjacency
-    is sorted, so the last neighbour to fire for a target is its first strict
-    maximum, the smallest id among ties.
+    The step rule of ``routing.greedy_route`` runs for all targets at once.
+    Each field holds a count below 2^(width-1), so its top bit is a free
+    guard: ``((c_v | guard) - ones - best) & guard`` fires exactly the fields
+    in which ``v`` shares strictly more than the best so far, with no borrow
+    between fields, and those fields of ``best`` take ``v``'s count.
+    Adjacency is sorted, so the last neighbour to fire for a target is its
+    first strict maximum, the smallest id among ties.
     """
     ones = ((1 << size * width) - 1) // ((1 << width) - 1)
     shift = width - 1

@@ -358,20 +358,19 @@ def graph_categories(g):
     return _categories(g)
 
 
-def _categories(g, root=None):
+def _categories(g, root_of=choose_root):
     """The one construction rule, shared by ``graph_categories``,
-    ``bench_one`` and ``catroute construct``. ``root`` is the BFS tree's root
-    when the caller already has ``choose_root(g)``; otherwise it is chosen
-    only if the halfspaces do not apply. A graph with n - 1 edges skips the
-    recognition: if connected it is a tree, whose halfspaces apply exactly
-    when it is a path, and ``tree_categories`` takes its path branch then."""
+    ``bench_one`` and ``catroute construct``. ``root_of(g)`` gives the BFS
+    tree's root and is called only if the halfspaces do not apply, so a
+    caller that also wants the diameter can take both from one pass. A graph
+    with n - 1 edges skips the recognition: if connected it is a tree, whose
+    halfspaces apply exactly when it is a path, and ``tree_categories`` takes
+    its path branch then."""
     if g.num_edges != g.n - 1:
         system = _halfspaces(g)
         if system is not None:
             return system
-    if root is None:
-        root = choose_root(g)
-    return tree_categories(bfs_spanning_tree(g, root))
+    return tree_categories(bfs_spanning_tree(g, root_of(g)))
 
 
 def _subtree_masks(order, parent, bit):

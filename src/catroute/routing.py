@@ -14,12 +14,23 @@ masks, and a route validates its endpoints once, not once per hop.
 A hop reads the neighbors in id order only up to the first improving one that
 holds all of cat(t): no later neighbor can share more than all of them, so none
 can be strictly better, and the first maximum, the smallest id among ties, is
-the one already found. A hub hop thus reads its neighbors up to that one,
-at the latest t itself when t is adjacent, instead of all of them.
+the one already found.
+
+A hub hop onto an adjacent target reads one neighbor. When u has more
+neighbors than t has categories, and u lacks one of them, the hop bisects u's
+sorted adjacency for t. If t is there, it ANDs the masks of t's categories
+into the set of vertices below t, stopping once that set is empty. An empty
+set means no vertex below t holds all of cat(t), so t itself, sharing all of
+them, is the scan's first maximum, and the hop goes there without reading
+any other neighbor. Otherwise the scan runs as above. In a shattered system
+the set is always empty: a vertex s != t holding all of cat(t) would leave no
+category that holds t without s. The guard keeps the added work, one
+bisection and at most |cat(t)| ANDs, within what the scan would cost.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -61,35 +72,18 @@ def _check_pair(g, system, u, t):
         raise ValidationError(f"vertex out of range for n={g.n}")
 
 
-def _step(neighbors, vm, vt, total, shared):
-    """Next hop and its shared count toward the target whose vertex mask is
-    ``vt``, with ``total`` categories, from a vertex sharing ``shared`` of
-    them; None for the hop when no neighbor shares more. Adjacency is sorted,
-    so the first maximum is the smallest id. The scan stops at the first
-    improving neighbor that shares all ``total``: a later one can at most tie
-    it, and ties go to the smaller id."""
-    best = None
-    for v in neighbors:
-        sv = (vt & vm[v]).bit_count()
-        if sv > shared:
-            best, shared = v, sv
-            if sv == total:
-                break
-    return best, shared
-
-
 def greedy_step(g, system, u, t):
     """Best next hop from ``u`` toward ``t``, or None if no neighbor improves.
 
-    Only looks at u's neighborhood and the membership of u, t and those
-    neighbors; there is no global distance oracle.
+    The answer depends only on u's neighborhood and the membership of u, t
+    and those neighbors; there is no global distance oracle. It walks the
+    route from ``u`` and returns its second vertex, so the step rule is
+    written once, in ``greedy_route``.
     """
-    _check_pair(g, system, u, t)
     if u == t:
         raise ValidationError("nothing to forward: already at the target")
-    vm = system.vertex_masks
-    vt = vm[t]
-    return _step(g.adjacency[u], vm, vt, vt.bit_count(), (vt & vm[u]).bit_count())[0]
+    path = greedy_route(g, system, u, t).path
+    return path[1] if len(path) > 1 else None
 
 
 def greedy_route(g, system, source, target):
@@ -98,12 +92,15 @@ def greedy_route(g, system, source, target):
 
     No hop cap is needed: each hop goes to a neighbor sharing strictly more of
     the target's categories, a count that never exceeds |cat(t)| <= memdim,
-    so a route ends within d(source, target) hops. Each hop reads the
-    neighbors only up to the first that holds all of cat(t) (see ``_step``).
+    so a route ends within d(source, target) hops. A hop reads the neighbors
+    only up to the first that holds all of cat(t), and a hub hop onto an
+    adjacent target reads only the target (see the module docstring).
+    Adjacency is sorted, so the first maximum is the smallest id.
     """
     _check_pair(g, system, source, target)
     adjacency = g.adjacency
     vm = system.vertex_masks
+    cm = system.category_masks
     vt = vm[target]
     total = vt.bit_count()
     current = source
@@ -111,9 +108,31 @@ def greedy_route(g, system, source, target):
     path = [current]
     hop_distances = [total - shared]
     while current != target:
-        current, shared = _step(adjacency[current], vm, vt, total, shared)
-        if current is None:
-            return RouteTrace(source, target, tuple(path), tuple(hop_distances), False)
+        neighbors = adjacency[current]
+        best = None
+        if len(neighbors) > total > shared:
+            # A target next to a hub: it is the first maximum unless a
+            # vertex below it holds all of cat(t).
+            i = bisect_left(neighbors, target)
+            if i < len(neighbors) and neighbors[i] == target:
+                below = (1 << target) - 1
+                rest = vt
+                while rest and below:
+                    low = rest & -rest
+                    below &= cm[low.bit_length() - 1]
+                    rest ^= low
+                if not below:
+                    best, shared = target, total
+        if best is None:
+            for v in neighbors:
+                sv = (vt & vm[v]).bit_count()
+                if sv > shared:
+                    best, shared = v, sv
+                    if sv == total:
+                        break
+            if best is None:
+                return RouteTrace(source, target, tuple(path), tuple(hop_distances), False)
+        current = best
         path.append(current)
         hop_distances.append(total - shared)
     return RouteTrace(source, target, tuple(path), tuple(hop_distances), True)

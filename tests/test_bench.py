@@ -141,6 +141,22 @@ def test_csv_is_pinned():
     assert [",".join(cells) for cells in rows] == list(PINNED_ROWS)
 
 
+def test_halfspace_specs_run_no_eccentricity_pass(monkeypatch):
+    # On a grid and an even cycle the halfspaces apply: the BFS root would go
+    # unused and the diameter is the membership dimension, so bench_one must
+    # not run the reach sweep. A tree needs its root and still runs the pass.
+    def refuse(g):
+        raise AssertionError("eccentricity pass ran")
+
+    monkeypatch.setattr(bench_module, "_root_and_diameter", refuse)
+    for spec in (GeneratorSpec("grid", 100, 204), GeneratorSpec("cycle", 100, 203)):
+        record = bench_one(spec)
+        assert record.all_pairs_ok
+        assert record.diam == record.memdim == diameter(generate(spec))
+    with pytest.raises(AssertionError, match="eccentricity pass ran"):
+        bench_one(GeneratorSpec("random-tree", 30, 201))
+
+
 @pytest.mark.parametrize("spec", PINNED_SPECS, ids=[f"{s.family}-{s.n}" for s in PINNED_SPECS])
 def test_pinned_specs_meet_the_diameter_bound(spec):
     # Any system that routes has memdim >= diam; paths, grids and even

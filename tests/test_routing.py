@@ -4,11 +4,14 @@ from hypothesis import strategies as st
 
 from catroute import (
     CategorySystem,
+    GeneratorSpec,
     Graph,
     RootedTree,
     ValidationError,
     category_distance,
     format_trace,
+    generate,
+    graph_categories,
     greedy_route,
     greedy_step,
     membership_dimension,
@@ -154,6 +157,135 @@ class TestFullShare:
         assert not trace.delivered
 
 
+
+def _hub_star(n, hub):
+    """A star on ``n`` vertices whose hub has id ``hub``."""
+    return Graph(n, ((hub, v) for v in range(n) if v != hub))
+
+
+def _copied(system, pairs):
+    """``system`` with ``c`` added to every category holding ``t``, for each
+    ``(t, c)`` in ``pairs``: c then holds all of cat(t), so the system is no
+    longer shattered."""
+    sets = [set(members) for members in system.categories]
+    for t, c in pairs:
+        for members in sets:
+            if t in members:
+                members.add(c)
+    return CategorySystem(system.n, sets)
+
+
+class _CountedReads(tuple):
+    """A vertex-mask table that counts how many masks are read from it."""
+
+    def __new__(cls, masks):
+        table = super().__new__(cls, masks)
+        table.reads = 0
+        return table
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+class _Counted:
+    """``system`` seen through a vertex-mask table that counts its reads."""
+
+    def __init__(self, system):
+        self.n = system.n
+        self.category_masks = system.category_masks
+        self.vertex_masks = _CountedReads(system.vertex_masks)
+
+
+def _assert_walks_like_the_oracle(g, s, pairs):
+    for source, target in pairs:
+        trace = greedy_route(g, s, source, target)
+        assert (trace.delivered, trace.path) == oracle_greedy_walk(g, s, source, target)
+        assert trace.hop_distances == tuple(oracle_distance(s, v, target) for v in trace.path)
+        if source != target:
+            assert greedy_step(g, s, source, target) == oracle_greedy_step(g, s, source, target)
+
+
+class TestHubHops:
+    """A hop from a hub onto an adjacent target settles it by bisection and
+    the target's category masks; these pin it to the definition walk on
+    construction-built stars and on hub systems where it must fall back to
+    the scan."""
+
+    def test_star_of_50_matches_the_walk_on_every_pair(self):
+        g = generate(GeneratorSpec("star", 50))
+        s = graph_categories(g)
+        _assert_walks_like_the_oracle(g, s, ((u, t) for u in range(50) for t in range(50)))
+
+    @pytest.mark.parametrize("n", [300, 1300])
+    def test_large_stars_match_the_walk_on_sampled_pairs(self, n):
+        g = generate(GeneratorSpec("star", n))
+        s = graph_categories(g)
+        rng = seeded(n)
+        leaves = [1, 2, n // 2, n - 2, n - 1] + rng.sample(range(1, n), 20)
+        pairs = [(0, t) for t in leaves] + [(t, 0) for t in leaves]
+        pairs += [tuple(rng.sample(range(1, n), 2)) for _ in range(30)]
+        _assert_walks_like_the_oracle(g, s, pairs)
+
+    def test_a_hub_hop_onto_an_adjacent_target_reads_one_neighbor(self):
+        g = generate(GeneratorSpec("star", 1300))
+        s = graph_categories(g)
+        for target in (1, 650, 1299):
+            counted = _Counted(s)
+            assert greedy_route(g, counted, 0, target).path == (0, target)
+            # The target's mask, the hub's, and at most one neighbour's.
+            assert counted.vertex_masks.reads <= 3
+
+    def test_a_leaf_below_the_target_holding_its_categories_takes_the_hop(self):
+        g = _hub_star(12, 0)
+        singletons = [(v,) for v in range(12) if v != 9]
+        # 3 holds both categories of 9 and comes first; the hub holds neither.
+        s = CategorySystem(12, singletons + [(3, 9), (3, 5, 9)])
+        trace = greedy_route(g, s, 0, 9)
+        assert trace.path == (0, 3)
+        assert not trace.delivered
+        _assert_walks_like_the_oracle(g, s, [(0, 9), (5, 9), (9, 3)])
+
+    def test_a_leaf_above_the_target_holding_its_categories_does_not(self):
+        g = _hub_star(12, 0)
+        singletons = [(v,) for v in range(12) if v != 9]
+        s = CategorySystem(12, singletons + [(9, 10), (5, 9, 10)])
+        assert greedy_route(g, s, 0, 9).path == (0, 9)
+        _assert_walks_like_the_oracle(g, s, [(0, 9), (5, 9), (10, 9)])
+
+    def test_a_hub_holding_every_category_of_the_target_is_stuck(self):
+        # The hub has the highest id, so no vertex below the target holds
+        # all of its categories, yet the hub shares all of them already.
+        g = _hub_star(12, 11)
+        s = _copied(graph_categories(g), [(4, 11)])
+        trace = greedy_route(g, s, 11, 4)
+        assert trace.path == (11,)
+        assert trace.hop_distances == (0,)
+        assert not trace.delivered
+        assert greedy_step(g, s, 11, 4) is None
+        assert oracle_greedy_step(g, s, 11, 4) is None
+
+    def test_a_target_past_every_neighbor_of_the_hub(self):
+        # A broom: hub 0 with leaves 1..24, and a tail 24-25-26. From the
+        # hub, 25 and 26 sort after every neighbour and are not adjacent.
+        g = Graph(27, [(0, v) for v in range(1, 25)] + [(24, 25), (25, 26)])
+        s = graph_categories(g)
+        _assert_walks_like_the_oracle(g, s, ((u, t) for u in range(27) for t in range(27)))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_hub_systems_with_copied_categories_match_the_walk(self, seed):
+        rng = seeded(seed)
+        n = rng.randint(12, 40)
+        hub = rng.randrange(n)
+        g = _hub_star(n, hub)
+        copies = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 4))]
+        s = _copied(graph_categories(g), copies)
+        pairs = [(hub, t) for t in range(n)] + [(t, hub) for t in range(n)]
+        pairs += [(c, t) for t, c in copies] + [(t, c) for t, c in copies]
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(40)]
+        _assert_walks_like_the_oracle(g, s, pairs)
+
+
 class TestVerticesWithoutNeighbors:
     def test_isolated_source_is_stuck(self):
         g = Graph(2, [])
@@ -261,10 +393,4 @@ def _differential_instances():
 @given(_differential_instances())
 def test_every_pair_matches_the_definition_walk(pair):
     g, s = pair
-    for source in range(g.n):
-        for target in range(g.n):
-            trace = greedy_route(g, s, source, target)
-            assert (trace.delivered, trace.path) == oracle_greedy_walk(g, s, source, target)
-            assert trace.hop_distances == tuple(oracle_distance(s, v, target) for v in trace.path)
-            if source != target:
-                assert greedy_step(g, s, source, target) == oracle_greedy_step(g, s, source, target)
+    _assert_walks_like_the_oracle(g, s, ((u, t) for u in range(g.n) for t in range(g.n)))
