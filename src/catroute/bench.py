@@ -71,9 +71,10 @@ def bench_one(spec):
     rule. Should the halfspaces not apply, its BFS tree's root (the lowest
     vertex of minimum eccentricity, as ``choose_root`` picks it) and the
     diameter come from one pass of ``_root_and_diameter`` (the centre peel
-    alone on a tree, the reach sweep otherwise). Should they apply, no pass
-    runs: the graph has diam(g) Theta classes and every vertex lies in one
-    halfspace of each, so the diameter is the membership dimension.
+    alone on a tree, the reach sweep otherwise). Should they apply, as on a
+    path, a grid or an even cycle, no pass runs: the graph has diam(g) Theta
+    classes and every vertex lies in one halfspace of each, so the diameter
+    is the membership dimension.
     """
     if spec.n > ALL_PAIRS_CAP:
         raise ValidationError(

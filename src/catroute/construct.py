@@ -4,24 +4,37 @@ One rule picks the construction. ``graph_categories``, ``bench_one`` and
 ``catroute construct`` all go through it:
 
 * if g is a partial cube with exactly diam(g) Theta classes, g gets its
-  halfspaces (below): memdim = diam, and every route is a shortest path;
-* otherwise ``tree_categories`` runs on the BFS tree T from a center vertex.
-  If T is a path, it gets the same halfspaces on T (``path_categories``):
-  one prefix set and one suffix set per edge, so memdim is the path's
-  length. Otherwise T gets its code families:
+  halfspaces (below): memdim = diam, and every route is a shortest path.
+  Among trees only paths qualify, and ``_categories`` asks that question
+  itself: a graph with n - 1 edges that is a path goes to
+  ``path_categories``;
+* otherwise ``tree_categories`` runs on the BFS tree T from a center vertex,
+  and T gets its code families:
 
-  Every vertex v gets the set of its descendants. A vertex with k >= 2
-  children gets m(k) families, m(k) the fewest bits m with
-  C(m, floor(m/2)) >= k: each child c takes its own floor(m/2)-subset
-  code(c) of the m bits, the tallest children the first subsets in
-  lexicographic order. Family j has as its base v plus the subtrees of the
-  children whose code holds j; the subtrees of the other children, its near
-  side, are added one depth at a time, from none of them to all but their
-  deepest vertices. A vertex with one child gets no family, except the
-  root, whose one child is the near side of one family with base {root}. On
-  a tree whose vertices have at most two children the two children of a
-  vertex take the codes {0} and {1}, and these are the sets of
+  Every vertex v other than the root gets the set of its descendants. (The
+  root's would hold every vertex: it adds 0 to every |cat(t) \\ cat(s)| and
+  separates no pair.) A vertex with k >= 2 children gets m(k) families,
+  m(k) the fewest bits m with C(m, floor(m/2)) >= k: each child c takes its
+  own floor(m/2)-subset code(c) of the m bits, the tallest children the
+  first subsets in lexicographic order. Family j has as its base v plus the
+  subtrees of the children whose code holds j; the subtrees of the other
+  children, its near side, are added one depth at a time, from none of them
+  to all but their deepest vertices. A vertex with one child gets no family,
+  except the root, whose one child is the near side of one family with base
+  {root}. On a tree whose vertices have at most two children the two
+  children of a vertex take the codes {0} and {1}, and these are the sets of
   ``binary_tree_categories``.
+
+Paths. On a path the code families are its halfspaces, one prefix and one
+suffix per edge, whatever the root. A non-root vertex has at most one child,
+so it gets no family, and its subtree set is the side of its parent edge
+away from the root. The root's family slices are the sides toward the root:
+with one child, its one family grows from {root} to all but the deepest
+vertex; with two, family j holds the root and the child whose code is {j}
+with all below it, and grows the same way down the other child's side. So
+``path_categories`` is ``tree_categories`` on a BFS tree of the path, and a
+BFS tree that is a path, as on an odd cycle, gets its halfspaces too:
+memdim is its length.
 
 Halfspaces. A partial cube is a graph whose vertices can be labelled with
 bit strings so that graph distance equals Hamming distance (Djokovic, JCTB
@@ -66,8 +79,8 @@ between them gets stuck.
 Cost: one BFS from 0, then at most 2 ecc(0) two-source BFS of O(n + m)
 steps each, which also collect the cut edges; the certificate takes one
 n-bit AND per edge end. O(ecc(0) (n + m)) steps in all. ``graph_categories``
-reaches the recognition only on graphs with a cycle; a tree goes straight to
-``tree_categories``, which finds a path itself.
+reaches the recognition only on graphs with a cycle; a path goes straight to
+``path_categories`` and any other tree to ``tree_categories``.
 
 Why greedy routing delivers on the code families. Every set is connected
 on T: every member of one of v's sets other than v has its T-parent in the
@@ -91,14 +104,16 @@ path from s to t is strictly closer to t than s:
 So d(u, t) < d(s, t) on T, and on any graph containing T's edges greedy
 forwarding has a strictly closer neighbour at every step.
 
-Membership cost. A vertex x lies in one subtree set per ancestor-or-self,
-and in at most h_v + 1 sets of each family of an ancestor-or-self v, h_v
-the height of v: at most (h + 1)(1 + M (h + 1)) sets, h the tree's height
-and M the largest m(k). No routing system puts a vertex with k pendant
-neighbours in fewer than m(k) categories (Sperner's theorem), so a star's
-hub, in its m(k) families and the set of all vertices, is one above the
-optimum. And m(k) <= 2 ceil(log2 k), the families a binary split of the k
-children into halves, quarters and so on would need.
+Membership cost. A vertex x lies in one subtree set per ancestor-or-self
+other than the root, at most h of them, and in at most h_v + 1 sets of each
+family of an ancestor-or-self v, h_v the height of v: at most
+h + M (h + 1)^2 sets, h the tree's height and M the largest m(k). No
+routing system puts a vertex with k pendant neighbours in fewer than m(k)
+categories (Sperner's theorem). A star's hub lies in its m(k) families
+alone, and a leaf in its own set and floor(m/2) families, so on a star of
+k >= 2 leaves memdim is m(k), the optimum. And m(k) <= 2 ceil(log2 k), the
+families a binary split of the k children into halves, quarters and so on
+would need.
 """
 
 from __future__ import annotations
@@ -131,27 +146,14 @@ def path_categories(g):
     n-1 of them: the membership dimension equals the diameter, and greedy
     routing follows the unique shortest path. A path is the tree whose class
     count n - 1 equals its diameter, so this is the halfspace system of the
-    module docstring: on a tree the classes are the edges, and the halfspaces
-    are the subtree masks and their complements, O(n) big-int ORs where the
-    recognition would run one BFS per edge. A graph that is not a path raises
-    ``ValidationError``.
+    module docstring, and on a path those are the code families at any root:
+    this is ``tree_categories`` on the BFS tree from vertex 0, O(n) big-int
+    ORs where the recognition would run one BFS per edge. A graph that is not
+    a path raises ``ValidationError``.
     """
     if not is_path(g):
         raise ValidationError("input graph is not a path")
-    # Rooted at its lowest end, each vertex of the path is the next one's
-    # parent.
-    adjacency = g.adjacency
-    v = next(v for v, nbrs in enumerate(adjacency) if len(nbrs) == 1)
-    order, parent = [v], [None] * g.n
-    for _ in range(g.n - 1):
-        nbrs = adjacency[v]
-        u = nbrs[-1] if nbrs[0] == parent[v] else nbrs[0]
-        parent[u] = v
-        order.append(u)
-        v = u
-    full = (1 << g.n) - 1
-    below = _subtree_masks(order, parent, [1 << v for v in range(g.n)])
-    return CategorySystem.from_masks(g.n, [m for v in order[1:] for m in (below[v], full ^ below[v])])
+    return tree_categories(bfs_spanning_tree(g, 0))
 
 
 def _split(adjacency, n, a, b, crossed):
@@ -254,17 +256,19 @@ def binary_tree_categories(tree):
     vertex has at most two children: the code families of the module
     docstring, one per child.
 
-    Per vertex v: the set of v's descendants (v included); and, for each
-    child c of v when v has two children or is the root, one set per depth i
-    from depth(v) up to depth(v) plus c's height, holding v, c's subtree cut
-    off at depth i, and the whole subtree of v's other child, if any. Which
-    child is which does not matter: both take their turn as the sliced one.
+    Per vertex v other than the root: the set of v's descendants (v
+    included). Per vertex v: for each child c of v when v has two children
+    or is the root, one set per depth i from depth(v) up to depth(v) plus
+    c's height, holding v, c's subtree cut off at depth i, and the whole
+    subtree of v's other child, if any. Which child is which does not
+    matter: both take their turn as the sliced one. On a path these are its
+    halfspaces, whatever the root.
 
     The result is shattered and internally connected on the tree's graph, and
-    each vertex lies in at most (h+1)(2h+3) sets, h the tree height: for each
-    of its at most h+1 ancestors-or-self it picks up one subtree set and at
-    most h+1 graded sets per side. A vertex with three or more children
-    raises ``ValidationError``.
+    each vertex lies in at most (h+1)(2h+3) - 1 sets, h the tree height: for
+    each of its at most h+1 ancestors-or-self it picks up one subtree set,
+    the root excepted, and at most h+1 graded sets per side. A vertex with
+    three or more children raises ``ValidationError``.
     """
     for v, kids in enumerate(tree.children):
         if len(kids) > 2:
@@ -332,17 +336,11 @@ def embed_into_binary(tree):
 
 
 def tree_categories(tree):
-    """Categories for an arbitrary rooted tree: the halfspaces of the tree's
-    graph (``path_categories``) when the tree is a path, else its subtree
-    sets and code families (see the module docstring). The result
-    is internally connected and shattered on the tree, so greedy routing
-    delivers every pair on it and on any graph that contains its edges."""
-    # A vertex with three or more children rules out a path without
-    # building the tree's graph.
-    if max(map(len, tree.children)) <= 2:
-        g = tree.graph
-        if is_path(g):
-            return path_categories(g)
+    """Categories for an arbitrary rooted tree: the subtree sets of its
+    non-root vertices and its code families (see the module docstring). On a
+    path these are its halfspaces, at any root. The result is internally
+    connected and shattered on the tree, so greedy routing delivers every
+    pair on it and on any graph that contains its edges."""
     return CategorySystem.from_masks(tree.n, _masks(tree))
 
 
@@ -364,22 +362,15 @@ def _categories(g, root_of=choose_root):
     tree's root and is called only if the halfspaces do not apply, so a
     caller that also wants the diameter can take both from one pass. A graph
     with n - 1 edges skips the recognition: if connected it is a tree, whose
-    halfspaces apply exactly when it is a path, and ``tree_categories`` takes
-    its path branch then."""
+    halfspaces apply exactly when it is a path, and a path goes to
+    ``path_categories``."""
     if g.num_edges != g.n - 1:
         system = _halfspaces(g)
         if system is not None:
             return system
+    elif is_path(g):
+        return path_categories(g)
     return tree_categories(bfs_spanning_tree(g, root_of(g)))
-
-
-def _subtree_masks(order, parent, bit):
-    """Per vertex of a tree listed top-down in ``order``, with ``parent``, the
-    OR of ``bit`` over its subtree."""
-    subtree = list(bit)
-    for v in reversed(order[1:]):
-        subtree[parent[v]] |= subtree[v]
-    return subtree
 
 
 def _code_bits(k):
@@ -392,15 +383,16 @@ def _code_bits(k):
 
 
 def _masks(tree):
-    """The subtree sets and code families of every vertex of ``tree`` (see
-    the module docstring), as vertex masks."""
+    """The subtree sets of the non-root vertices of ``tree`` and the code
+    families of every vertex (see the module docstring), as vertex masks."""
     n = tree.n
     order, parent, children = tree.order, tree.parent, tree.children
     bit = [1 << v for v in range(n)]
-    subtree = _subtree_masks(order, parent, bit)
+    subtree = bit[:]
     height, depth = [0] * n, [0] * n
     for v in reversed(order[1:]):
         p = parent[v]
+        subtree[p] |= subtree[v]
         height[p] = max(height[p], height[v] + 1)
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1
@@ -409,7 +401,7 @@ def _masks(tree):
     for v in range(n):
         levels[depth[v]] |= bit[v]
     upto = list(accumulate(levels, or_))
-    masks = subtree[:]
+    masks = [subtree[v] for v in order[1:]]
     for v in order:
         kids = children[v]
         m = _code_bits(len(kids))
@@ -420,12 +412,11 @@ def _masks(tree):
         # Tallest first, ties by id: the first codes share their low bits, so
         # few families get a tall near side.
         kids = sorted(kids, key=height.__getitem__, reverse=True)
-        base, tall, below = [bit[v]] * m, [0] * m, 0
+        base, tall = [bit[v]] * m, [0] * m
         # Bits no code so far misses; the first child whose code misses j is
         # the tallest on family j's near side.
         unmissed = set(range(m))
         for c, code in zip(kids, combinations(range(m), m // 2)):
-            below |= subtree[c]
             for j in code:
                 base[j] |= subtree[c]
             if unmissed:
@@ -433,7 +424,7 @@ def _masks(tree):
                     tall[j] = height[c]
                 unmissed.intersection_update(code)
         for j in range(m):
-            near = below & ~base[j]
+            near = subtree[v] ^ base[j]
             if near:
                 masks += [base[j] | near & upto[d] for d in range(depth[v], depth[v] + tall[j] + 1)]
     return masks

@@ -241,13 +241,13 @@ def tree_height(tree):
 
 def oracle_binary_tree_sets(tree):
     """The sets ``binary_tree_categories``' docstring defines, re-derived as
-    member tuples: per vertex v its descendants (v included) and, for each
-    child c of v when v has two children or is the root, one set per depth i
-    from depth(v) up to depth(v) plus c's height, holding v, the members of
-    c's subtree at depth at most i, and the whole subtree of v's other child,
-    if any. Depths come from a BFS from the root and descendants from walking
-    parents. Returns the distinct sets in lexicographic order, as
-    ``CategorySystem.categories`` lists them."""
+    member tuples: per vertex v other than the root its descendants (v
+    included) and, for each child c of v when v has two children or is the
+    root, one set per depth i from depth(v) up to depth(v) plus c's height,
+    holding v, the members of c's subtree at depth at most i, and the whole
+    subtree of v's other child, if any. Depths come from a BFS from the root
+    and descendants from walking parents. Returns the distinct sets in
+    lexicographic order, as ``CategorySystem.categories`` lists them."""
     depth = bfs_distances(tree.graph, tree.root)
     below = [[] for _ in range(tree.n)]
     for x in range(tree.n):
@@ -257,7 +257,8 @@ def oracle_binary_tree_sets(tree):
             walk = tree.parent[walk]
     sets = set()
     for v in range(tree.n):
-        sets.add(tuple(below[v]))
+        if v != tree.root:
+            sets.add(tuple(below[v]))
         kids = [x for x in range(tree.n) if tree.parent[x] == v]
         if len(kids) == 1 and v != tree.root:
             continue
@@ -271,10 +272,10 @@ def oracle_binary_tree_sets(tree):
 
 
 def oracle_code_family_sets(tree):
-    """The sets of ``tree_categories`` on a tree that is not a path, as the
-    construct module docstring defines them, re-derived as member tuples:
-    per vertex v its descendants, and per vertex with k >= 2 children (or
-    the root with one) m families, m the least with C(m, floor(m/2)) >= k
+    """The sets of ``tree_categories``, as the construct module docstring
+    defines them, re-derived as member tuples: per vertex v other than the
+    root its descendants, and per vertex with k >= 2 children (or the root
+    with one) m families, m the least with C(m, floor(m/2)) >= k
     (at least 1). The children, tallest first and ties by id, take the
     floor(m/2)-subsets of range(m) in lexicographic order. Family j holds v
     and the subtrees of the children whose code has j, plus the other
@@ -288,7 +289,7 @@ def oracle_code_family_sets(tree):
             below[walk].append(x)
             walk = tree.parent[walk]
     height = [max(depth[x] for x in below[v]) - depth[v] for v in range(tree.n)]
-    sets = {tuple(below[v]) for v in range(tree.n)}
+    sets = {tuple(below[v]) for v in range(tree.n) if v != tree.root}
     for v in range(tree.n):
         kids = sorted((x for x in range(tree.n) if tree.parent[x] == v), key=lambda c: (-height[c], c))
         if not kids or (len(kids) == 1 and v != tree.root):

@@ -117,22 +117,22 @@ PINNED_SPECS = [
 ]
 PINNED_ROWS = (
     "seed,family,n,m,diam,memdim,all_pairs_ok,max_route_len,mean_route_len,ratio",
-    "200,gnp-connected,100,305,5,23,true,7,3.6852,0.169642",
-    "200,gnp-connected,500,1450,7,51,true,11,5.6940,0.200074",
-    "201,random-tree,100,99,13,51,true,13,5.9735,0.132165",
-    "201,random-tree,500,499,22,145,true,22,8.9751,0.151218",
+    "200,gnp-connected,100,305,5,22,true,7,3.6852,0.162267",
+    "200,gnp-connected,500,1450,7,50,true,11,5.6940,0.196151",
+    "201,random-tree,100,99,13,50,true,13,5.9735,0.129574",
+    "201,random-tree,500,499,22,144,true,22,8.9751,0.150175",
     "202,path,100,99,99,99,true,99,33.6667,0.008870",
     "202,path,500,499,499,499,true,499,167.0000,0.001934",
     "203,cycle,100,100,50,50,true,50,25.2525,0.015583",
     "203,cycle,500,500,250,250,true,250,125.2505,0.003728",
     "204,grid,100,180,18,18,true,18,6.6667,0.029638",
     "204,grid,500,955,43,43,true,43,15.0000,0.015923",
-    "205,star,100,99,2,10,true,2,1.9800,0.133840",
-    "205,star,500,499,2,13,true,2,1.9960,0.108110",
-    "206,complete,100,4950,1,10,true,1,1.0000,0.171149",
-    "206,complete,500,124750,1,13,true,1,1.0000,0.130894",
-    "207,watts-strogatz,100,200,9,38,true,11,5.5758,0.155273",
-    "207,watts-strogatz,500,1000,13,93,true,16,8.8510,0.192748",
+    "205,star,100,99,2,9,true,2,1.9800,0.120456",
+    "205,star,500,499,2,12,true,2,1.9960,0.099793",
+    "206,complete,100,4950,1,9,true,1,1.0000,0.154034",
+    "206,complete,500,124750,1,12,true,1,1.0000,0.120825",
+    "207,watts-strogatz,100,200,9,37,true,11,5.5758,0.151187",
+    "207,watts-strogatz,500,1000,13,92,true,16,8.8510,0.190675",
 )
 
 
@@ -142,14 +142,15 @@ def test_csv_is_pinned():
 
 
 def test_halfspace_specs_run_no_eccentricity_pass(monkeypatch):
-    # On a grid and an even cycle the halfspaces apply: the BFS root would go
-    # unused and the diameter is the membership dimension, so bench_one must
-    # not run the reach sweep. A tree needs its root and still runs the pass.
+    # On a path, a grid and an even cycle the halfspaces apply: the BFS root
+    # would go unused and the diameter is the membership dimension, so
+    # bench_one must not run the eccentricity pass. Any other tree needs its
+    # root and still runs the pass.
     def refuse(g):
         raise AssertionError("eccentricity pass ran")
 
     monkeypatch.setattr(bench_module, "_root_and_diameter", refuse)
-    for spec in (GeneratorSpec("grid", 100, 204), GeneratorSpec("cycle", 100, 203)):
+    for spec in (GeneratorSpec("path", 100, 202), GeneratorSpec("grid", 100, 204), GeneratorSpec("cycle", 100, 203)):
         record = bench_one(spec)
         assert record.all_pairs_ok
         assert record.diam == record.memdim == diameter(generate(spec))

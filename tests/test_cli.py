@@ -52,6 +52,20 @@ class TestConstruct:
         assert captured.out == ""
         assert "invalid choice: 'graph'" in captured.err
 
+    def test_a_single_vertex_round_trips_with_no_categories(self, tmp_path, capsys):
+        # A single vertex has no pair to route, so it needs no category: the
+        # empty system passes every check vacuously.
+        graph_file, cats_file = str(tmp_path / "one.edges"), tmp_path / "one.json"
+        (tmp_path / "one.edges").write_text("n 1\n")
+        assert main(["construct", "--graph", graph_file, "--out", str(cats_file)]) == 0
+        assert cats_file.read_text() == '{"n":1,"categories":[]}\n'
+        capsys.readouterr()
+        argv = ["check", "--graph", graph_file, "--cats", str(cats_file), "--props", "internal,shattered,all-pairs"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "internally-connected: OK\nshattered: OK\nall-pairs-routing: OK\n"
+        assert main(["stats", "--graph", graph_file, "--cats", str(cats_file)]) == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == ["memdim=0", "memdim_vertex=0", "memdim_degree=0"]
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["construct", "--graph", "/nonexistent.edges"]) == 2
 

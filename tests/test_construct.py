@@ -80,7 +80,7 @@ class TestPathCategories:
         assert_construction_contract(g, s)
 
     def test_scrambled_vertex_ids(self):
-        # Path 2-0-1: ranked from endpoint 1 (the smaller-id endpoint).
+        # Path 2-0-1: the sides of edge 2-0 and of edge 0-1.
         g = Graph(3, [(2, 0), (0, 1)])
         s = path_categories(g)
         assert s.categories == ((0, 1), (0, 2), (1,), (2,))
@@ -113,14 +113,14 @@ class TestBinaryTreeCategories:
     def test_root_with_two_leaves_exact_sets(self):
         tree = RootedTree([None, 0, 0], 0)
         s = binary_tree_categories(tree)
-        assert set(s.categories) == {(0, 1, 2), (1,), (2,), (0, 2), (0, 1)}
-        assert membership_dimension(s) == 3
+        assert set(s.categories) == {(1,), (2,), (0, 2), (0, 1)}
+        assert membership_dimension(s) == 2
 
     def test_single_vertex(self):
         tree = RootedTree([None], 0)
         s = binary_tree_categories(tree)
-        assert s.categories == ((0,),)
-        assert membership_dimension(s) == 1
+        assert s.categories == ()
+        assert membership_dimension(s) == 0
 
     def test_left_only_chain(self):
         tree = RootedTree([None, 0, 1], 0)
@@ -133,7 +133,7 @@ class TestBinaryTreeCategories:
             tree = random_binary_tree(rng, rng.randint(1, 60))
             s = binary_tree_categories(tree)
             h = tree_height(tree)
-            assert membership_dimension(s) <= (h + 1) * (2 * h + 3)
+            assert membership_dimension(s) <= (h + 1) * (2 * h + 3) - 1
             assert_construction_contract(tree.graph, s)
 
     def test_three_children_rejected(self):
@@ -146,15 +146,13 @@ class TestBinaryTreeCategories:
             binary_tree_categories(bfs_spanning_tree(star_graph(5), 1))
 
     def test_random_binary_trees_match_the_oracle(self):
-        # binary_tree_categories against its definition, and tree_categories
-        # against the same sets wherever it does not take the path rule.
+        # binary_tree_categories and tree_categories against one definition.
         rng = seeded(47)
         for _ in range(200):
             tree = random_binary_tree(rng, rng.randint(1, 150))
             expected = oracle_binary_tree_sets(tree)
             assert binary_tree_categories(tree).categories == expected
-            if not is_path(tree.graph):
-                assert tree_categories(tree).categories == expected
+            assert tree_categories(tree).categories == expected
 
 
 class TestEmbedIntoBinary:
@@ -272,7 +270,7 @@ class TestTreeCategories:
 
     def test_single_vertex(self):
         s = tree_categories(RootedTree([None], 0))
-        assert s.categories == ((0,),)
+        assert s.categories == ()
 
     def test_high_degree_trees_meet_contract(self):
         rng = seeded(23)
@@ -289,8 +287,7 @@ class TestCodeFamilies:
             n = rng.randint(3, 70)
             g = random_tree(rng, n, skew="hub" if i % 2 else "uniform").graph
             tree = bfs_spanning_tree(g, rng.randrange(n))
-            if not is_path(g):
-                assert tree_categories(tree).categories == oracle_code_family_sets(tree)
+            assert tree_categories(tree).categories == oracle_code_family_sets(tree)
 
     @pytest.mark.parametrize("n", [4, 5, 9, 50])
     def test_a_root_with_one_child_keeps_its_family(self, n):
@@ -303,24 +300,84 @@ class TestCodeFamilies:
         assert_construction_contract(g, tree_categories(tree))
 
     @pytest.mark.parametrize("n", [4, 5, 8, 50, 300, 1300])
-    def test_a_star_hub_sits_one_above_the_sperner_bound(self, n):
+    def test_a_star_hub_sits_on_the_sperner_bound(self, n):
         # k pendant leaves need their hub in m(k) categories, m(k) the least
-        # m with C(m, floor(m/2)) >= k; the hub also holds the set of all
-        # vertices.
+        # m with C(m, floor(m/2)) >= k, and the hub holds exactly its m(k)
+        # families.
         k = n - 1
         m = next(m for m in range(1, k + 1) if math.comb(m, m // 2) >= k)
         system = graph_categories(star_graph(n))
-        assert system.vertex_masks[0].bit_count() == membership_dimension(system) == m + 1
+        assert system.vertex_masks[0].bit_count() == membership_dimension(system) == m
 
     def test_membership_stays_within_the_bound(self):
-        # At most (h + 1)(1 + M (h + 1)), M the most code bits at any vertex.
+        # At most h + M (h + 1)^2, M the most code bits at any vertex.
         rng = seeded(59)
         for i in range(40):
             tree = random_tree(rng, rng.randint(2, 300), skew="hub" if i % 2 else "uniform")
             h = tree_height(tree)
             most = max(next(m for m in range(len(kids) + 1) if math.comb(m, m // 2) >= len(kids))
                        for kids in tree.children)
-            assert membership_dimension(tree_categories(tree)) <= (h + 1) * (1 + max(most, 1) * (h + 1))
+            assert membership_dimension(tree_categories(tree)) <= h + max(most, 1) * (h + 1) ** 2
+
+
+def _route_identity_graphs():
+    rng = seeded(71)
+    graphs = {f"tree-{n}": random_tree(rng, n).graph for n in (2, 3, 40, 300)}
+    graphs.update({f"hub-tree-{n}": random_tree(rng, n, skew="hub").graph for n in (40, 300)})
+    graphs.update({f"star-{n}": star_graph(n) for n in (3, 50, 300)})
+    for n, p in ((40, 0.2), (300, 0.02)):
+        graphs[f"gnp-{n}"] = generate(GeneratorSpec("gnp-connected", n, n, {"p": p}))
+        graphs[f"watts-strogatz-{n}"] = generate(GeneratorSpec("watts-strogatz", n, n, {"k": 4, "beta": 0.2}))
+    return graphs
+
+
+ROUTE_IDENTITY_GRAPHS = _route_identity_graphs()
+
+
+@pytest.mark.parametrize("name", ROUTE_IDENTITY_GRAPHS)
+def test_the_set_of_all_vertices_changes_no_route(name):
+    # The set of all vertices adds 0 to every |cat(t) \ cat(s)| and
+    # witnesses no pair: put back, it costs every vertex one membership and
+    # changes no hop.
+    g = ROUTE_IDENTITY_GRAPHS[name]
+    system = graph_categories(g)
+    full = CategorySystem.from_masks(g.n, [*system.category_masks, (1 << g.n) - 1])
+    assert full.num_categories == system.num_categories + 1
+    assert [m.bit_count() for m in full.vertex_masks] == [m.bit_count() + 1 for m in system.vertex_masks]
+    assert membership_dimension(full) == membership_dimension(system) + 1
+    statistics = route_statistics(g, system)
+    assert statistics[0].holds
+    assert route_statistics(g, full) == statistics
+    rng = seeded(g.n)
+    for _ in range(200):
+        s, t = rng.randrange(g.n), rng.randrange(g.n)
+        assert greedy_route(g, full, s, t) == greedy_route(g, system, s, t)
+
+
+def _prefix_suffix_sets(order):
+    """A path's halfspaces from its vertices listed end to end: every proper
+    prefix and every proper suffix."""
+    cuts = range(1, len(order))
+    return [order[:i] for i in cuts] + [order[i:] for i in cuts]
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
+def test_a_path_gets_its_halfspaces_at_every_root(shuffled):
+    # A non-root vertex of a path has at most one child: it gets no family,
+    # and its subtree set is one side of its parent edge. The root's family
+    # slices are the other sides.
+    rng = seeded(67)
+    for n in range(2, 41):
+        order = list(range(n))
+        if shuffled:
+            rng.shuffle(order)
+        g = Graph(n, zip(order, order[1:]))
+        expected = CategorySystem(n, _prefix_suffix_sets(order))
+        assert path_categories(g) == expected
+        for root in range(n):
+            tree = bfs_spanning_tree(g, root)
+            assert tree_categories(tree) == expected
+            assert binary_tree_categories(tree) == expected
 
 
 class TestGraphCategories:
@@ -377,9 +434,10 @@ def _code_families(tree):
 
 class TestOneRule:
     """graph_categories, bench_one and `catroute construct` share one rule:
-    the halfspaces when the graph is a partial cube with diam(g) classes,
-    else the path construction when the BFS tree from the chosen root is a
-    path, its code families otherwise."""
+    the halfspaces when the graph is a partial cube with diam(g) classes
+    (``path_categories`` on a path), else the code families of the BFS tree
+    from the chosen root, which are the tree's halfspaces when it is a
+    path."""
 
     @pytest.mark.parametrize(
         "g",
@@ -423,8 +481,7 @@ class TestOneRule:
             if classes is not None and len(classes) == diameter(g):
                 expected = CategorySystem(g.n, oracle_halfspaces(g, classes))
             else:
-                tree = bfs_spanning_tree(g, choose_root(g))
-                expected = path_categories(tree.graph) if is_path(tree.graph) else _code_families(tree)
+                expected = _code_families(bfs_spanning_tree(g, choose_root(g)))
             assert graph_categories(g) == expected
 
 
