@@ -19,7 +19,9 @@ share one canonicalisation that works on masks alone:
   three delta swaps transpose every lane of a tile of groups on one int, and
   byte v of the result is vertex v's byte for that group. This costs
   O(k * n / 8) byte operations for k categories, all in C, where a
-  per-membership scatter costs one Python step per membership.
+  per-membership scatter costs one Python step per membership. Every
+  public constructor transposes at once; only ``_CategorySide``, for a
+  caller that reads the category masks alone, leaves it to the first read.
 * **Member tuples on first read.** ``categories`` is built from the masks
   when first read, so construction, routing and the membership dimension
   never make one Python int per membership. Serialization builds none:
@@ -198,15 +200,16 @@ class CategorySystem:
         self._setup(n, unique)
         return self
 
-    def _setup(self, n, masks):
-        """Canonical order, masks and the vertex-side transpose from the
-        distinct category masks."""
+    def _setup(self, n, masks, transpose=True):
+        """Canonical order, masks and, unless ``transpose`` is false, the
+        vertex-side transpose from the distinct category masks."""
         masks = _canonical_order(n, masks)
         if masks and not masks[0]:
             raise ValidationError("empty categories are not allowed")
         self.n = n
         self.category_masks = tuple(masks)
-        self.vertex_masks = _transpose(n, masks)
+        if transpose:
+            self.vertex_masks = _transpose(n, masks)
         self._categories = None
 
     @property
@@ -227,6 +230,30 @@ class CategorySystem:
 
     def __repr__(self):
         return f"CategorySystem(n={self.n}, categories={self.num_categories})"
+
+
+class _CategorySide(CategorySystem):
+    """A system built from the masks a construction made, with its vertex
+    masks transposed only when first read: for a caller that reads the
+    category masks alone, as ``catroute construct`` does when it
+    serializes. Every public constructor transposes at once, so a copy made
+    before routing does not pay for the transpose inside its first route.
+    The hook lives on this class alone: a class with ``__getattr__`` reads
+    every attribute more slowly, and routing reads ``vertex_masks`` once a
+    route."""
+
+    __slots__ = ()
+
+    def __init__(self, n, masks):
+        self._setup(n, set(masks), transpose=False)
+
+    def __getattr__(self, name):
+        # Reached only when ordinary lookup fails: the vertex masks on their
+        # first read (copying reads every slot, so it transposes too).
+        if name != "vertex_masks":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.vertex_masks = _transpose(self.n, list(self.category_masks))
+        return self.vertex_masks
 
 
 def membership_dimension(system):

@@ -21,7 +21,7 @@ from .checks import (
     is_shattered,
     verify_all_pairs_routing,
 )
-from .construct import graph_categories
+from .construct import _categories
 from .errors import GenerationError, InternalCheckError, ParseError, ValidationError
 from .fixtures import run_fixtures
 from .graph import diameter, parse_edge_list
@@ -96,7 +96,9 @@ def _read(path):
 
 def _construct(args):
     g = parse_edge_list(_read(args.graph))
-    return 0, serialize_categories(graph_categories(g))
+    # The file holds the category side alone, so a tree-built system skips
+    # the vertex-mask transpose.
+    return 0, serialize_categories(_categories(g, vertex_side=False))
 
 
 def _route(args):

@@ -124,7 +124,7 @@ from itertools import accumulate, combinations
 from math import comb
 from operator import or_
 
-from .categories import CategorySystem
+from .categories import CategorySystem, _CategorySide
 from .errors import ValidationError
 from .graph import (
     RootedTree,
@@ -356,21 +356,31 @@ def graph_categories(g):
     return _categories(g)
 
 
-def _categories(g, root_of=choose_root):
+def _categories(g, root_of=choose_root, vertex_side=True):
     """The one construction rule, shared by ``graph_categories``,
     ``bench_one`` and ``catroute construct``. ``root_of(g)`` gives the BFS
     tree's root and is called only if the halfspaces do not apply, so a
     caller that also wants the diameter can take both from one pass. A graph
     with n - 1 edges skips the recognition: if connected it is a tree, whose
     halfspaces apply exactly when it is a path, and a path goes to
-    ``path_categories``."""
+    ``path_categories``.
+
+    With ``vertex_side`` false, a system from the tree branch is a
+    ``categories._CategorySide``, which transposes its vertex masks only if
+    they are read: ``catroute construct`` serializes the category masks
+    alone. The halfspaces read their vertex masks in the antipode test, and
+    a path's come from the public ``path_categories``, so those two
+    branches transpose either way."""
     if g.num_edges != g.n - 1:
         system = _halfspaces(g)
         if system is not None:
             return system
     elif is_path(g):
         return path_categories(g)
-    return tree_categories(bfs_spanning_tree(g, root_of(g)))
+    tree = bfs_spanning_tree(g, root_of(g))
+    if vertex_side:
+        return tree_categories(tree)
+    return _CategorySide(tree.n, _masks(tree))
 
 
 def _code_bits(k):

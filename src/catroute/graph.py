@@ -348,16 +348,27 @@ def bfs_spanning_tree(g, root):
     Depth in the tree equals the BFS distance in ``g``, so the tree diameter is
     at most twice the graph diameter.
     """
-    if not (0 <= root < g.n):
-        raise ValidationError(f"root {root} out of range for n={g.n}")
-    dist = bfs_distances(g, root)
-    for v, d in enumerate(dist):
-        if d is None:
-            raise DisconnectedGraphError(root, v)
-    parent = [None] * g.n
-    for v in range(g.n):
-        if v == root:
-            continue
-        want = dist[v] - 1
-        parent[v] = next(w for w in g.adjacency[v] if dist[w] == want)
+    n = g.n
+    if not (0 <= root < n):
+        raise ValidationError(f"root {root} out of range for n={n}")
+    adjacency = g.adjacency
+    parent = [None] * n
+    seen = bytearray(n)
+    seen[root] = 1
+    level = [root]
+    while level:
+        # Each level is expanded in ascending id order, so the first vertex
+        # to reach v, its parent, is its smallest-id neighbour one level up.
+        nxt = []
+        for u in level:
+            for v in adjacency[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    parent[v] = u
+                    nxt.append(v)
+        nxt.sort()
+        level = nxt
+    missing = seen.find(0)
+    if missing >= 0:
+        raise DisconnectedGraphError(root, missing)
     return RootedTree(parent, root)

@@ -88,6 +88,19 @@ def oracle_eccentricity(g, v):
     return max(bfs_distances(g, v))
 
 
+def oracle_spanning_parents(g, root):
+    """``(parent, dist)``: the BFS tree's parents by their definition, in two
+    passes, BFS distances from ``root`` and then, for each reachable
+    non-root vertex, its smallest-id neighbour one level closer to ``root``.
+    The root and unreachable vertices get None in both lists."""
+    dist = bfs_distances(g, root)
+    parent = [
+        None if v == root or d is None else min(w for w in g.adjacency[v] if dist[w] == d - 1)
+        for v, d in enumerate(dist)
+    ]
+    return parent, dist
+
+
 def oracle_sets(system):
     return [set(members) for members in system.categories]
 

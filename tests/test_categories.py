@@ -18,11 +18,13 @@ from catroute import (
     is_internally_connected,
     membership_dimension,
     parse_categories,
+    route_statistics,
     serialize_categories,
     verify_all_pairs_routing,
 )
 from catroute import categories
 from catroute.categories import _member_tuples, _members
+from catroute.construct import _categories
 from catroute.fixtures import counterexample_cycle
 
 from conftest import (
@@ -453,6 +455,47 @@ def test_member_tuples_are_built_on_first_read():
     assert late.categories is built
     assert early.categories == built
     assert greedy_route(g, late, 0, g.n - 1).delivered
+
+
+def _refuse_transpose(n, masks):
+    raise AssertionError("vertex masks transposed after construction")
+
+
+@pytest.mark.parametrize("family, n, seed, params", [row[:4] for row in GOLDEN_BYTES], ids=[row[0] for row in GOLDEN_BYTES])
+def test_public_constructors_transpose_at_once(family, n, seed, params, monkeypatch):
+    # A caller copies a system and then routes on the copy; the transpose
+    # must not move into the copy's first route.
+    g = generate(GeneratorSpec(family, n, seed, params))
+    system = graph_categories(g)
+    text = serialize_categories(system)
+    masks = list(system.category_masks)
+    built = [
+        system,
+        parse_categories(text, n),
+        CategorySystem(n, json.loads(text)["categories"]),
+        CategorySystem.from_masks(n, masks),
+    ]
+    expected = route_statistics(g, system)
+    monkeypatch.setattr(categories, "_transpose", _refuse_transpose)
+    for each in built:
+        # A plain CategorySystem reads its attributes without a hook.
+        assert type(each) is CategorySystem
+        twin = copy.copy(each)
+        assert twin.vertex_masks == system.vertex_masks
+        assert greedy_route(g, twin, 0, n - 1).delivered
+        assert route_statistics(g, twin) == expected
+
+
+@pytest.mark.parametrize("family, n, seed, params", [row[:4] for row in GOLDEN_BYTES], ids=[row[0] for row in GOLDEN_BYTES])
+def test_category_side_systems_transpose_on_first_read(family, n, seed, params):
+    g = generate(GeneratorSpec(family, n, seed, params))
+    eager, lazy = graph_categories(g), _categories(g, vertex_side=False)
+    early = copy.copy(lazy)
+    assert lazy == eager and serialize_categories(lazy) == serialize_categories(eager)
+    assert not hasattr(lazy, "no_such_field")
+    assert lazy.vertex_masks == eager.vertex_masks
+    assert early.vertex_masks == eager.vertex_masks
+    assert membership_dimension(copy.copy(lazy)) == membership_dimension(eager)
 
 
 def test_serialize_reads_no_member_tuples(monkeypatch):

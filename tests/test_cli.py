@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,14 +7,27 @@ from pathlib import Path
 
 import pytest
 
+from catroute import categories as categories_module
 from catroute import graph as graph_module
-from catroute import parse_categories, path_categories, serialize_categories
+from catroute import (
+    GeneratorSpec,
+    generate,
+    graph_categories,
+    parse_categories,
+    path_categories,
+    serialize_categories,
+)
 from catroute.cli import main
 from catroute.errors import InternalCheckError
 from catroute.fixtures import counterexample_cycle
 from catroute.graph import serialize_edge_list
 
 from conftest import path_graph, star_graph
+from test_categories import GOLDEN_BYTES
+
+# Families whose pinned graphs take the construction's tree branch, so that
+# `construct` writes them without transposing to vertex masks.
+TREE_BRANCH = ("gnp-connected", "random-tree", "star", "complete", "watts-strogatz")
 
 COUNTER_EDGES = "0 1\n1 2\n2 3\n0 3\n"
 
@@ -79,6 +93,23 @@ class TestConstruct:
             "error: graph is disconnected: no path between 0 and 3\n",
         )
 
+
+    @pytest.mark.parametrize("family, n, seed, params, digest", GOLDEN_BYTES, ids=[row[0] for row in GOLDEN_BYTES])
+    def test_writes_the_pinned_bytes(self, family, n, seed, params, digest, tmp_path, monkeypatch):
+        g = generate(GeneratorSpec(family, n, seed, params))
+        expected = serialize_categories(graph_categories(g))
+        graph_file, out_file = tmp_path / "g.edges", tmp_path / "cats.json"
+        graph_file.write_text(serialize_edge_list(g))
+        if family in TREE_BRANCH:
+            # The file holds category masks alone, so a tree-built system
+            # must reach it without the vertex-side transpose.
+            def refuse(n, masks):
+                raise AssertionError("construct transposed to vertex masks")
+
+            monkeypatch.setattr(categories_module, "_transpose", refuse)
+        assert main(["construct", "--graph", str(graph_file), "--out", str(out_file)]) == 0
+        assert out_file.read_text() == expected
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
     def test_graph_above_vertex_cap_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(graph_module, "MAX_VERTICES", 10)

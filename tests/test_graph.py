@@ -21,12 +21,13 @@ from catroute import (
     serialize_edge_list,
 )
 from catroute import graph as graph_module
-from catroute.generators import GeneratorSpec, generate
+from catroute.generators import FAMILIES, GeneratorSpec, generate
 
 from conftest import (
     complete_graph,
     cycle_graph,
     oracle_eccentricity,
+    oracle_spanning_parents,
     path_graph,
     random_connected_graph,
     seeded,
@@ -375,6 +376,41 @@ def _sweep_graphs():
             seeds,
         ),
     )
+
+
+@st.composite
+def _spanning_cases(draw):
+    """A generated graph of any family with its ids shuffled, often with
+    some edges dropped so that it falls apart, and a root."""
+    family = draw(st.sampled_from(FAMILIES))
+    n = draw(st.integers(min_value=5 if family == "watts-strogatz" else 3 if family == "cycle" else 1, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    g = generate(GeneratorSpec(family, n, seed, {"p": 0.15} if family == "gnp-connected" else {}))
+    rng = seeded(seed)
+    edges = list(g.edges())
+    if draw(st.booleans()):
+        edges = [e for e in edges if rng.random() < 0.8]
+    return _relabelled(rng, n, edges), draw(st.integers(min_value=0, max_value=n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spanning_cases())
+# Level 2 is reached as 3 (via 1), then 2 (via 4); 5's parent is 2.
+@example((Graph(6, [(0, 1), (0, 4), (1, 3), (4, 2), (2, 5), (3, 5)]), 0))
+@example((Graph(5, [(0, 4), (1, 3)]), 1))
+def test_spanning_tree_matches_the_two_pass_definition(case):
+    # One BFS that takes each level in ascending id order against a BFS for
+    # the distances and then a scan of each vertex's neighbours.
+    g, root = case
+    parent, dist = oracle_spanning_parents(g, root)
+    unreachable = [v for v, d in enumerate(dist) if d is None]
+    if unreachable:
+        with pytest.raises(DisconnectedGraphError) as err:
+            bfs_spanning_tree(g, root)
+        assert err.value.unreachable_pair == (root, unreachable[0])
+    else:
+        tree = bfs_spanning_tree(g, root)
+        assert (tree.root, tree.parent) == (root, tuple(parent))
 
 
 def _oracle_levels(g):
