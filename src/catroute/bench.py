@@ -16,9 +16,9 @@ import math
 import time
 from dataclasses import dataclass, fields
 
-from .categories import membership_dimension
+from .categories import CategorySystem, membership_dimension
 from .checks import route_statistics
-from .construct import _categories
+from .construct import _category_masks
 from .errors import InternalCheckError, ValidationError
 from .generators import GeneratorSpec, generate
 from .graph import _root_and_diameter
@@ -89,7 +89,7 @@ def bench_one(spec):
         return root
 
     started = time.perf_counter()
-    system = _categories(g, root_of)
+    system = CategorySystem._of(_category_masks(g, root_of))
     construct_millis = int(round((time.perf_counter() - started) * 1000))
     memdim = membership_dimension(system)
     if diam is None:

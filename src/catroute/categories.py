@@ -20,8 +20,9 @@ share one canonicalisation that works on masks alone:
   byte v of the result is vertex v's byte for that group. This costs
   O(k * n / 8) byte operations for k categories, all in C, where a
   per-membership scatter costs one Python step per membership. Every
-  public constructor transposes at once; only ``_CategorySide``, for a
-  caller that reads the category masks alone, leaves it to the first read.
+  constructor transposes at once. A caller that needs the category masks
+  alone, as ``catroute construct`` does to serialize them, takes the
+  ``_CanonicalMasks`` of the construction and builds no system.
 * **Member tuples on first read.** ``categories`` is built from the masks
   when first read, so construction, routing and the membership dimension
   never make one Python int per membership. Serialization builds none:
@@ -39,6 +40,7 @@ from __future__ import annotations
 import json
 from itertools import chain, compress, repeat
 from operator import index
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
@@ -128,6 +130,23 @@ def _canonical_order(n, masks):
     return sorted(masks, key=key)
 
 
+class _CanonicalMasks(NamedTuple):
+    """A system's distinct non-empty category masks in canonical order, all
+    ``serialize_categories`` reads, and its vertex masks if already built."""
+
+    n: int
+    category_masks: tuple
+    vertex_masks: tuple = None
+
+
+def _canonical(n, masks):
+    """The distinct ``masks`` as ``_CanonicalMasks``; an empty one raises."""
+    masks = _canonical_order(n, masks)
+    if masks and not masks[0]:
+        raise ValidationError("empty categories are not allowed")
+    return _CanonicalMasks(n, tuple(masks))
+
+
 def _transpose_tile(tile, width, swaps):
     """Each group of 8 masks in ``tile`` (``width`` bytes each) transposed.
 
@@ -153,7 +172,7 @@ def _transpose(n, masks):
     width = (n + 7) >> 3
     lane = 8 * width  # bytes of one group of 8 masks, interleaved
     # Empty masks pad the last group; their bits land above bit k - 1.
-    masks = masks + [0] * (-len(masks) % 8)
+    masks = [*masks, *repeat(0, -len(masks) % 8)]
     groups = len(masks) >> 3
     rows = [bytearray(groups) for _ in range(n)]
     # Lane masks for the largest tile; ANDed with a shorter int they still
@@ -186,30 +205,29 @@ class CategorySystem:
         # operator.index turns bools and other int-likes into plain ints, and
         # the tuples keep one-shot member iterables readable for the range
         # check's message.
-        self._setup(n, _set_masks(n, (tuple(map(index, members)) for members in sets)))
+        self._adopt(_canonical(n, _set_masks(n, (tuple(map(index, members)) for members in sets))))
 
     @classmethod
     def from_masks(cls, n, masks):
         """Build from vertex bitmasks directly (must fit in n bits, none zero)."""
         _check_size(n)
-        self = cls.__new__(cls)
-        limit = 1 << n
         unique = set(masks)
-        if unique and (min(unique) < 0 or max(unique) >= limit):
+        if unique and (min(unique) < 0 or max(unique) >= 1 << n):
             raise ValidationError(f"category mask out of range for n={n}")
-        self._setup(n, unique)
+        return cls._of(_canonical(n, unique))
+
+    @classmethod
+    def _of(cls, side):
+        """The system whose category side is ``side``, a ``_CanonicalMasks``."""
+        self = cls.__new__(cls)
+        self._adopt(side)
         return self
 
-    def _setup(self, n, masks, transpose=True):
-        """Canonical order, masks and, unless ``transpose`` is false, the
-        vertex-side transpose from the distinct category masks."""
-        masks = _canonical_order(n, masks)
-        if masks and not masks[0]:
-            raise ValidationError("empty categories are not allowed")
-        self.n = n
-        self.category_masks = tuple(masks)
-        if transpose:
-            self.vertex_masks = _transpose(n, masks)
+    def _adopt(self, side):
+        """Take ``side``'s masks; transpose them unless it has vertex masks."""
+        self.n, self.category_masks, self.vertex_masks = side
+        if self.vertex_masks is None:
+            self.vertex_masks = _transpose(self.n, self.category_masks)
         self._categories = None
 
     @property
@@ -230,30 +248,6 @@ class CategorySystem:
 
     def __repr__(self):
         return f"CategorySystem(n={self.n}, categories={self.num_categories})"
-
-
-class _CategorySide(CategorySystem):
-    """A system built from the masks a construction made, with its vertex
-    masks transposed only when first read: for a caller that reads the
-    category masks alone, as ``catroute construct`` does when it
-    serializes. Every public constructor transposes at once, so a copy made
-    before routing does not pay for the transpose inside its first route.
-    The hook lives on this class alone: a class with ``__getattr__`` reads
-    every attribute more slowly, and routing reads ``vertex_masks`` once a
-    route."""
-
-    __slots__ = ()
-
-    def __init__(self, n, masks):
-        self._setup(n, set(masks), transpose=False)
-
-    def __getattr__(self, name):
-        # Reached only when ordinary lookup fails: the vertex masks on their
-        # first read (copying reads every slot, so it transposes too).
-        if name != "vertex_masks":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.vertex_masks = _transpose(self.n, list(self.category_masks))
-        return self.vertex_masks
 
 
 def membership_dimension(system):
@@ -296,17 +290,16 @@ def parse_categories(text, n):
     # The rows are checked first, so the members' scan reads only lists.
     if not set(map(type, sets)) <= {list} or not set(map(type, chain.from_iterable(sets))) <= {int}:
         raise ParseError("each category must be a list of integer vertex ids")
-    system = CategorySystem.__new__(CategorySystem)
-    system._setup(n, _set_masks(n, sets))
-    return system
+    return CategorySystem._of(_canonical(n, _set_masks(n, sets)))
 
 
 def serialize_categories(system):
     """Canonical JSON form; parse -> serialize -> parse is the identity.
 
-    The text is that of ``json.dumps`` with compact separators, joined from
-    one string per vertex id picked straight off the masks, so a member costs
-    no int-to-text conversion and no member tuple is built.
+    ``system`` may be a ``_CanonicalMasks``. The text is that of ``json.dumps``
+    with compact separators, joined from one string per vertex id picked
+    straight off the masks, so a member costs no int-to-text conversion and
+    no member tuple is built.
     """
     names = list(map(str, range(system.n)))
     rows = ",".join(["[%s]" % ",".join(members) for members in _member_tuples(system.category_masks, names)])

@@ -8,6 +8,7 @@ failed, which means a bug in this package).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,14 +22,16 @@ from .checks import (
     is_shattered,
     verify_all_pairs_routing,
 )
-from .construct import _categories
+from .construct import _category_masks
 from .errors import GenerationError, InternalCheckError, ParseError, ValidationError
 from .fixtures import run_fixtures
 from .graph import diameter, parse_edge_list
 from .routing import format_trace, greedy_route
 
 
+@functools.cache
 def build_parser():
+    """Built once per process; each ``parse_args`` fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="catroute",
         description=(
@@ -96,9 +99,8 @@ def _read(path):
 
 def _construct(args):
     g = parse_edge_list(_read(args.graph))
-    # The file holds the category side alone, so a tree-built system skips
-    # the vertex-mask transpose.
-    return 0, serialize_categories(_categories(g, vertex_side=False))
+    # The file holds the category masks alone, so no system is built.
+    return 0, serialize_categories(_category_masks(g))
 
 
 def _route(args):

@@ -5,8 +5,8 @@ One rule picks the construction. ``graph_categories``, ``bench_one`` and
 
 * if g is a partial cube with exactly diam(g) Theta classes, g gets its
   halfspaces (below): memdim = diam, and every route is a shortest path.
-  Among trees only paths qualify, and ``_categories`` asks that question
-  itself: a graph with n - 1 edges that is a path goes to
+  Among trees only paths qualify, and ``_category_masks`` asks that
+  question itself: a graph with n - 1 edges and no degree above 2 goes to
   ``path_categories``;
 * otherwise ``tree_categories`` runs on the BFS tree T from a center vertex,
   and T gets its code families:
@@ -124,14 +124,9 @@ from itertools import accumulate, combinations
 from math import comb
 from operator import or_
 
-from .categories import CategorySystem, _CategorySide
+from .categories import CategorySystem, _canonical, _CanonicalMasks
 from .errors import ValidationError
-from .graph import (
-    RootedTree,
-    bfs_spanning_tree,
-    choose_root,
-    is_path,
-)
+from .graph import RootedTree, bfs_spanning_tree, choose_root
 
 # Reads a ``_split`` side array (1 for a's side, 2 for b's) as binary digits,
 # 1 on a's side.
@@ -149,11 +144,18 @@ def path_categories(g):
     module docstring, and on a path those are the code families at any root:
     this is ``tree_categories`` on the BFS tree from vertex 0, O(n) big-int
     ORs where the recognition would run one BFS per edge. A graph that is not
-    a path raises ``ValidationError``.
+    ``_path_shaped`` raises ``ValidationError``, and one that is but is not
+    connected the BFS's ``DisconnectedGraphError``.
     """
-    if not is_path(g):
+    if not _path_shaped(g):
         raise ValidationError("input graph is not a path")
     return tree_categories(bfs_spanning_tree(g, 0))
+
+
+def _path_shaped(g):
+    """At least two vertices, n - 1 edges and no degree above 2: a path if
+    connected. Two C-level passes over the adjacency and no BFS."""
+    return g.n >= 2 and g.num_edges == g.n - 1 and max(map(len, g.adjacency)) <= 2
 
 
 def _split(adjacency, n, a, b, crossed):
@@ -353,34 +355,25 @@ def graph_categories(g):
     is still available, extra edges only add options, and strict decrease
     rules out cycles.
     """
-    return _categories(g)
+    return CategorySystem._of(_category_masks(g))
 
 
-def _categories(g, root_of=choose_root, vertex_side=True):
-    """The one construction rule, shared by ``graph_categories``,
-    ``bench_one`` and ``catroute construct``. ``root_of(g)`` gives the BFS
-    tree's root and is called only if the halfspaces do not apply, so a
-    caller that also wants the diameter can take both from one pass. A graph
-    with n - 1 edges skips the recognition: if connected it is a tree, whose
-    halfspaces apply exactly when it is a path, and a path goes to
-    ``path_categories``.
-
-    With ``vertex_side`` false, a system from the tree branch is a
-    ``categories._CategorySide``, which transposes its vertex masks only if
-    they are read: ``catroute construct`` serializes the category masks
-    alone. The halfspaces read their vertex masks in the antipode test, and
-    a path's come from the public ``path_categories``, so those two
-    branches transpose either way."""
+def _category_masks(g, root_of=choose_root):
+    """The one construction rule as ``_CanonicalMasks``, which ``catroute
+    construct`` serializes and ``graph_categories`` and ``bench_one`` make a
+    system of. ``root_of(g)``, the BFS tree's root, is called on the tree
+    branch alone. A graph with n - 1 edges skips the recognition: if
+    connected it is a tree, whose halfspaces apply exactly when it is a path.
+    The halfspace and path branches hand on the vertex masks their systems
+    have transposed; the tree branch transposes nothing.
+    """
     if g.num_edges != g.n - 1:
         system = _halfspaces(g)
-        if system is not None:
-            return system
-    elif is_path(g):
-        return path_categories(g)
-    tree = bfs_spanning_tree(g, root_of(g))
-    if vertex_side:
-        return tree_categories(tree)
-    return _CategorySide(tree.n, _masks(tree))
+    else:
+        system = path_categories(g) if _path_shaped(g) else None
+    if system is not None:
+        return _CanonicalMasks(g.n, system.category_masks, system.vertex_masks)
+    return _canonical(g.n, set(_masks(bfs_spanning_tree(g, root_of(g)))))
 
 
 def _code_bits(k):

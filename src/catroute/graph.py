@@ -41,11 +41,11 @@ class Graph:
             neighbor_sets[u].add(v)
             neighbor_sets[v].add(u)
         self.n = n
-        self.adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
+        self.adjacency = tuple(map(tuple, map(sorted, neighbor_sets)))
 
     @property
     def num_edges(self):
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return sum(map(len, self.adjacency)) // 2
 
     def degree(self, v):
         return len(self.adjacency[v])
@@ -69,63 +69,65 @@ class Graph:
 def parse_edge_list(text):
     """Parse the edge-list text format into a Graph.
 
-    Lines hold ``u v`` integer pairs; blank lines and lines starting with
-    ``#`` are ignored. An optional first effective line ``n <count>`` declares
-    the vertex count; otherwise n is one more than the largest id seen.
-    Duplicate edges collapse; self-loops are rejected. A vertex count above
-    ``MAX_VERTICES``, declared or implied by a vertex id, raises
-    ``ValidationError`` as soon as its line is read.
+    Lines hold ``u v`` pairs of vertex ids in ASCII decimal digits; blank
+    lines and lines starting with ``#`` are ignored. An optional first
+    effective line ``n <count>`` declares the vertex count; otherwise n is one
+    more than the largest id seen. Duplicate edges collapse; self-loops are
+    rejected. A vertex count above ``MAX_VERTICES``, declared or implied by a
+    vertex id, raises ``ValidationError`` as soon as its line is read.
     """
     cap = MAX_VERTICES
     declared_n = None
+    limit = cap  # ids must stay below this: the declared count, else the cap
     edges = []
     max_id = -1
-    seen_effective_line = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if not line or line[0] == "#":
             continue
         tokens = line.split()
         if tokens[0] == "n":
-            if seen_effective_line:
+            # Each effective line before this one left a header or an edge.
+            if declared_n is not None or edges:
                 raise ParseError("vertex-count header must be the first line", lineno)
             if len(tokens) != 2:
                 raise ParseError("vertex-count header must be 'n <count>'", lineno)
-            try:
-                declared_n = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"bad vertex count {tokens[1]!r}", lineno) from None
-            if declared_n < 0:
-                raise ParseError("vertex count must be non-negative", lineno)
+            declared_n = _vertex_id(tokens[1])
+            if declared_n is None:
+                if _vertex_id(tokens[1].removeprefix("-")) is not None:
+                    raise ParseError("vertex count must be non-negative", lineno)
+                raise ParseError(f"bad vertex count {tokens[1]!r}", lineno)
             if declared_n > cap:
-                raise ValidationError(
-                    f"line {lineno}: vertex count {declared_n} is above the cap of {cap}"
-                )
-            seen_effective_line = True
+                raise ValidationError(f"line {lineno}: vertex count {declared_n} is above the cap of {cap}")
+            limit = declared_n
             continue
-        seen_effective_line = True
         if len(tokens) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", lineno)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"non-integer vertex id in {line!r}", lineno) from None
-        if u < 0 or v < 0:
+        u, v = _vertex_id(tokens[0]), _vertex_id(tokens[1])
+        if u is None or v is None:
+            # A minus sign before digits makes an id negative, not malformed.
+            if None in (_vertex_id(token.removeprefix("-")) for token in tokens):
+                raise ParseError(f"non-integer vertex id in {line!r}", lineno)
             raise ParseError(f"negative vertex id in {line!r}", lineno)
         if u == v:
             raise ValidationError(f"line {lineno}: self-loop at vertex {u}")
-        if declared_n is not None and (u >= declared_n or v >= declared_n):
-            raise ValidationError(
-                f"line {lineno}: vertex id exceeds declared count n={declared_n}"
-            )
-        max_id = max(max_id, u, v)
-        if max_id >= cap:
-            raise ValidationError(
-                f"line {lineno}: vertex id {max_id} needs more than the cap of {cap} vertices"
-            )
+        top = u if u > v else v
+        if top >= limit:
+            if declared_n is not None:
+                raise ValidationError(f"line {lineno}: vertex id exceeds declared count n={declared_n}")
+            raise ValidationError(f"line {lineno}: vertex id {top} needs more than the cap of {cap} vertices")
+        if top > max_id:
+            max_id = top
         edges.append((u, v))
-    n = declared_n if declared_n is not None else max_id + 1
-    return Graph(n, edges)
+    return Graph(declared_n if declared_n is not None else max_id + 1, edges)
+
+
+def _vertex_id(token):
+    """``int(token)`` if ``token`` is ASCII decimal digits alone, else None:
+    ``int`` also reads a sign, underscores and other scripts' digits."""
+    try:
+        return int(token) if token.isascii() and token.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def serialize_edge_list(g):
@@ -318,15 +320,17 @@ class RootedTree:
             if p is None or not (0 <= p < n):
                 raise ValidationError(f"vertex {v} has invalid parent {p}")
             children[p].append(v)
+        self._adopt(parent, root, children)
+        if len(self.order) != n:
+            raise ValidationError("parent array does not form a tree on all vertices")
+
+    def _adopt(self, parent, root, children):
+        """Take ``parent`` and the sorted ``children``; derive ``order``."""
         order = [root]
         for u in order:
             order.extend(children[u])
-        if len(order) != n:
-            raise ValidationError("parent array does not form a tree on all vertices")
-        self.root = root
-        self.parent = tuple(parent)
-        self.children = tuple(tuple(c) for c in children)
-        self.order = tuple(order)
+        self.root, self.parent = root, tuple(parent)
+        self.children, self.order = tuple(map(tuple, children)), tuple(order)
 
     @property
     def n(self):
@@ -346,13 +350,15 @@ def bfs_spanning_tree(g, root):
     neighbor one level closer to the root as parent.
 
     Depth in the tree equals the BFS distance in ``g``, so the tree diameter is
-    at most twice the graph diameter.
+    at most twice the graph diameter. The BFS lists the children as well, so
+    the tree skips ``RootedTree``'s checks and child pass.
     """
     n = g.n
     if not (0 <= root < n):
         raise ValidationError(f"root {root} out of range for n={n}")
     adjacency = g.adjacency
     parent = [None] * n
+    children = [[] for _ in range(n)]
     seen = bytearray(n)
     seen[root] = 1
     level = [root]
@@ -365,10 +371,14 @@ def bfs_spanning_tree(g, root):
                 if not seen[v]:
                     seen[v] = 1
                     parent[v] = u
+                    children[u].append(v)
                     nxt.append(v)
         nxt.sort()
         level = nxt
     missing = seen.find(0)
     if missing >= 0:
         raise DisconnectedGraphError(root, missing)
-    return RootedTree(parent, root)
+    # The children came in ascending order from the sorted adjacency.
+    tree = RootedTree.__new__(RootedTree)
+    tree._adopt(parent, root, children)
+    return tree

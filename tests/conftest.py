@@ -10,8 +10,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 from catroute import CategorySystem, Graph, RootedTree, bfs_distances
+from catroute import graph as graph_module
+from catroute.errors import ParseError, ValidationError
 
 
 def path_graph(n):
@@ -86,6 +89,65 @@ def oracle_eccentricity(g, v):
     graph; the reach sweep behind ``diameter`` and ``choose_root`` is tested
     against it."""
     return max(bfs_distances(g, v))
+
+
+def _oracle_int(token):
+    """``int(token)`` for ASCII decimal digits alone; a minus sign before
+    digits reads as a negative id (``-0`` too); any other token, and digits
+    that ``int`` refuses, raise ``ValueError``."""
+    if re.fullmatch("-?[0-9]+", token) is None:
+        raise ValueError(token)
+    value = int(token)
+    return -1 if token[0] == "-" else value
+
+
+def oracle_parse_edge_list(text):
+    """The edge-list parser as one loop over the lines, each line checked in
+    full before the next is read; ``_oracle_int`` reads the ids. It reads
+    ``MAX_VERTICES`` at call time, as the package does."""
+    cap = graph_module.MAX_VERTICES
+    declared_n = None
+    edges = []
+    max_id = -1
+    seen_effective_line = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if tokens[0] == "n":
+            if seen_effective_line:
+                raise ParseError("vertex-count header must be the first line", lineno)
+            if len(tokens) != 2:
+                raise ParseError("vertex-count header must be 'n <count>'", lineno)
+            try:
+                declared_n = _oracle_int(tokens[1])
+            except ValueError:
+                raise ParseError(f"bad vertex count {tokens[1]!r}", lineno) from None
+            if declared_n < 0:
+                raise ParseError("vertex count must be non-negative", lineno)
+            if declared_n > cap:
+                raise ValidationError(f"line {lineno}: vertex count {declared_n} is above the cap of {cap}")
+            seen_effective_line = True
+            continue
+        seen_effective_line = True
+        if len(tokens) != 2:
+            raise ParseError(f"expected 'u v', got {line!r}", lineno)
+        try:
+            u, v = _oracle_int(tokens[0]), _oracle_int(tokens[1])
+        except ValueError:
+            raise ParseError(f"non-integer vertex id in {line!r}", lineno) from None
+        if u < 0 or v < 0:
+            raise ParseError(f"negative vertex id in {line!r}", lineno)
+        if u == v:
+            raise ValidationError(f"line {lineno}: self-loop at vertex {u}")
+        if declared_n is not None and (u >= declared_n or v >= declared_n):
+            raise ValidationError(f"line {lineno}: vertex id exceeds declared count n={declared_n}")
+        max_id = max(max_id, u, v)
+        if max_id >= cap:
+            raise ValidationError(f"line {lineno}: vertex id {max_id} needs more than the cap of {cap} vertices")
+        edges.append((u, v))
+    return Graph(declared_n if declared_n is not None else max_id + 1, edges)
 
 
 def oracle_spanning_parents(g, root):

@@ -24,7 +24,7 @@ from catroute import (
 )
 from catroute import categories
 from catroute.categories import _member_tuples, _members
-from catroute.construct import _categories
+from catroute.construct import _category_masks
 from catroute.fixtures import counterexample_cycle
 
 from conftest import (
@@ -487,15 +487,29 @@ def test_public_constructors_transpose_at_once(family, n, seed, params, monkeypa
 
 
 @pytest.mark.parametrize("family, n, seed, params", [row[:4] for row in GOLDEN_BYTES], ids=[row[0] for row in GOLDEN_BYTES])
-def test_category_side_systems_transpose_on_first_read(family, n, seed, params):
+def test_category_side_systems_transpose_on_first_read(family, n, seed, params, monkeypatch):
+    # The dispatch gives the category side alone: `catroute construct`
+    # serializes it as it is, and a system built from it transposes once.
     g = generate(GeneratorSpec(family, n, seed, params))
-    eager, lazy = graph_categories(g), _categories(g, vertex_side=False)
-    early = copy.copy(lazy)
-    assert lazy == eager and serialize_categories(lazy) == serialize_categories(eager)
-    assert not hasattr(lazy, "no_such_field")
-    assert lazy.vertex_masks == eager.vertex_masks
-    assert early.vertex_masks == eager.vertex_masks
-    assert membership_dimension(copy.copy(lazy)) == membership_dimension(eager)
+    eager = graph_categories(g)
+    transposed = []
+    real = categories._transpose
+    monkeypatch.setattr(categories, "_transpose", lambda n, masks: transposed.append(n) or real(n, masks))
+    side = _category_masks(g)
+    # A path goes through the public path_categories and the halfspaces
+    # through a system for their antipode test; both transpose once and hand
+    # their vertex masks on. The tree branch transposes nothing.
+    handed = family in ("path", "cycle", "grid")
+    assert transposed == ([g.n] if handed else [])
+    assert side.vertex_masks == (eager.vertex_masks if handed else None)
+    assert side[:2] == (g.n, eager.category_masks) and type(side.category_masks) is tuple
+    assert serialize_categories(side) == serialize_categories(eager)
+    transposed.clear()
+    system = CategorySystem._of(side)
+    assert transposed == ([] if handed else [g.n])
+    assert type(system) is CategorySystem and system == eager
+    assert copy.copy(system).vertex_masks == eager.vertex_masks
+    assert membership_dimension(system) == membership_dimension(eager)
 
 
 def test_serialize_reads_no_member_tuples(monkeypatch):

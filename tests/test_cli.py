@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from catroute import categories as categories_module
+from catroute import cli as cli_module
 from catroute import graph as graph_module
 from catroute import (
     GeneratorSpec,
@@ -17,6 +18,7 @@ from catroute import (
     path_categories,
     serialize_categories,
 )
+from catroute import __version__ as catroute_version
 from catroute.cli import main
 from catroute.errors import InternalCheckError
 from catroute.fixtures import counterexample_cycle
@@ -434,3 +436,54 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "n=3\nm=2\ndiam=2\n"
+
+
+class TestOneProcess:
+    def _calls(self, tmp_path):
+        """A star's round trip, then calls that each leave out an option the
+        call before them gave, a version query and a usage error."""
+        graph_file, cats_file = str(tmp_path / "star.edges"), str(tmp_path / "star.json")
+        (tmp_path / "star.edges").write_text(serialize_edge_list(star_graph(9)))
+        route = ["route", "--graph", graph_file, "--cats", cats_file, "--from", "1", "--to", "8"]
+        return [
+            ["construct", "--graph", graph_file, "--method", "auto", "--out", cats_file],
+            ["check", "--graph", graph_file, "--cats", cats_file, "--props", "internal"],
+            ["check", "--graph", graph_file, "--cats", cats_file],
+            route + ["--trace"],
+            route,
+            ["stats", "--graph", graph_file, "--cats", cats_file],
+            ["stats", "--graph", graph_file],
+            ["--version"],
+            ["route", "--graph", graph_file],
+            ["construct", "--graph", graph_file],
+        ]
+
+    def _run(self, calls, capsys, fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli_module.build_parser.cache_clear()
+            code = main(argv)
+            out, err = capsys.readouterr()
+            results.append((code, out, err))
+        return results
+
+    def test_one_parser_answers_as_a_fresh_one_would(self, tmp_path, capsys):
+        calls = self._calls(tmp_path)
+        cli_module.build_parser.cache_clear()
+        shared = self._run(calls, capsys, fresh=False)
+        assert cli_module.build_parser.cache_info().misses == 1
+        fresh = self._run(calls, capsys, fresh=True)
+        assert shared == fresh
+        codes, outs, errs = zip(*shared)
+        assert codes == (0, 0, 0, 0, 0, 0, 0, 0, 2, 0)
+        # No option of one call reaches the next: the default properties,
+        # the outcome line alone, no memdim, and stdout instead of --out.
+        assert outs[1] == "internally-connected: OK\n"
+        assert outs[2] == "internally-connected: OK\nshattered: OK\nall-pairs-routing: OK\n"
+        assert outs[3].count("\n") > 1 and outs[4] == outs[3].splitlines()[-1] + "\n"
+        assert "memdim=" in outs[5] and "memdim=" not in outs[6]
+        assert outs[7] == f"catroute {catroute_version}\n"
+        assert outs[8] == "" and "the following arguments are required" in errs[8]
+        assert outs[9] == (tmp_path / "star.json").read_text()
+        assert not any(errs[:8]) and not errs[9]

@@ -33,6 +33,7 @@ from catroute import (
     verify_all_pairs_routing,
 )
 from catroute.construct import _halfspaces, _masks
+from catroute.errors import DisconnectedGraphError
 
 from conftest import (
     complete_graph,
@@ -97,6 +98,25 @@ class TestPathCategories:
     def test_path_rejects_a_non_path(self):
         with pytest.raises(ValidationError, match="not a path"):
             path_categories(cycle_graph(5))
+
+    @pytest.mark.parametrize(
+        "n, edges, pair",
+        [
+            (4, [(0, 1), (1, 2), (2, 0)], (0, 3)),
+            (4, [(1, 2), (2, 3), (3, 1)], (0, 1)),
+            (5, [(0, 1), (2, 3), (3, 4), (4, 2)], (0, 2)),
+        ],
+        ids=["triangle-then-isolated", "isolated-then-triangle", "edge-beside-triangle"],
+    )
+    def test_a_path_shaped_graph_that_is_not_connected_fails_in_the_bfs(self, n, edges, pair):
+        # n - 1 edges and no degree above 2, yet a cycle beside a path: the
+        # guard lets it through and the one BFS from 0 names the first vertex
+        # it misses. The construction rule reaches the same error.
+        g = Graph(n, edges)
+        for build in (path_categories, graph_categories):
+            with pytest.raises(DisconnectedGraphError) as err:
+                build(g)
+            assert err.value.unreachable_pair == pair
 
     def test_routes_follow_the_unique_shortest_path(self):
         g = path_graph(6)

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     oracle_eccentricity,
+    oracle_parse_edge_list,
     oracle_spanning_parents,
     path_graph,
     random_connected_graph,
@@ -151,6 +153,38 @@ class TestParseEdgeList:
     def test_empty_input_gives_empty_graph(self):
         assert parse_edge_list("").n == 0
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1_0\n", "line 1: non-integer vertex id in '0 1_0'"),
+            ("+0 1\n", "line 1: non-integer vertex id in '+0 1'"),
+            ("0 \u0663\n", "line 1: non-integer vertex id in '0 \u0663'"),
+            ("n 1_0\n", "line 1: bad vertex count '1_0'"),
+        ],
+        ids=["underscore", "plus-sign", "arabic-indic-digit", "header-underscore"],
+    )
+    def test_only_ascii_digits_spell_an_id(self, text, message):
+        # int() reads each of these spellings; the format does not.
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert (str(err.value), err.value.line) == (message, 1)
+
+    def test_a_signed_zero_is_a_negative_id(self):
+        with pytest.raises(ParseError, match="line 2: negative vertex id in '-0 1'"):
+            parse_edge_list("0 1\n-0 1\n")
+        with pytest.raises(ParseError, match="line 1: vertex count must be non-negative"):
+            parse_edge_list("n -0\n")
+
+    def test_more_digits_than_int_reads_is_not_an_id(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("int() here reads any number of digits")
+        big = "9" * (limit + 1)
+        with pytest.raises(ParseError, match="line 1: non-integer vertex id"):
+            parse_edge_list(f"0 {big}\n")
+        with pytest.raises(ParseError, match="line 1: bad vertex count"):
+            parse_edge_list(f"n {big}\n")
+
     def test_roundtrip_is_identity_on_canonical_form(self):
         g = Graph(6, [(4, 1), (0, 3), (3, 4)])
         text = serialize_edge_list(g)
@@ -251,6 +285,21 @@ class TestRootedTree:
         # 2 and 3 point at each other, so neither is reached from the root.
         with pytest.raises(ValidationError, match="does not form a tree"):
             RootedTree([None, 0, 3, 2], 0)
+
+    @pytest.mark.parametrize(
+        "parent, root, message",
+        [
+            ([None], 1, "root 1 out of range for n=1"),
+            ([1, None, 1], 0, "root must have no parent"),
+            ([None, 0, 3], 0, "vertex 2 has invalid parent 3"),
+            ([None, None, 0], 0, "vertex 1 has invalid parent None"),
+            ([None, 0, 3, 2], 0, "parent array does not form a tree on all vertices"),
+        ],
+    )
+    def test_validation_messages(self, parent, root, message):
+        with pytest.raises(ValidationError) as err:
+            RootedTree(parent, root)
+        assert str(err.value) == message
 
 
 class TestShapePredicates:
@@ -411,6 +460,8 @@ def test_spanning_tree_matches_the_two_pass_definition(case):
     else:
         tree = bfs_spanning_tree(g, root)
         assert (tree.root, tree.parent) == (root, tuple(parent))
+        derived = RootedTree(parent, root)
+        assert (tree.children, tree.order) == (derived.children, derived.order)
 
 
 def _oracle_levels(g):
@@ -462,3 +513,101 @@ def test_disconnected_input_names_first_vertex_unreachable_from_zero(n, seed):
         with pytest.raises(DisconnectedGraphError) as err:
             call(g)
         assert err.value.unreachable_pair == (0, first)
+
+
+@st.composite
+def _well_formed_edge_lists(draw):
+    """``(text, graph)``: an edge list with comments, blank lines, CRLF or
+    LF endings, stray spaces and tabs, leading zeros, repeated and reversed
+    edges and an optional header, and the graph it describes."""
+    n = draw(st.integers(min_value=0, max_value=25))
+    edges = []
+    if n >= 2:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        edges = draw(st.lists(pair, max_size=40))
+        edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=5))] if edges else []
+    declared = draw(st.one_of(st.none(), st.integers(min_value=n, max_value=n + 3)))
+    pad = st.sampled_from(("", " ", "  ", "\t", " \t"))
+    lines = [f"{draw(pad)}{draw(st.sampled_from(('', '0', '00')))}{u}{draw(pad)} {v}{draw(pad)}" for u, v in edges]
+    filler = st.sampled_from(("", "   ", "# a comment", "  # 0 1", "#n 5", "\t"))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(filler))
+    if declared is not None:
+        # Comments and blank lines may come before the header, edges not.
+        first = next((i for i, line in enumerate(lines) if line.strip() and line.strip()[0] != "#"), len(lines))
+        lines.insert(draw(st.integers(min_value=0, max_value=first)), f"n {declared}{draw(pad)}")
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    text = end.join(lines) + draw(st.sampled_from(("", end)))
+    size = declared if declared is not None else 1 + max((max(e) for e in edges), default=-1)
+    return text, Graph(size, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_well_formed_edge_lists())
+@example(("# edges\r\n\r\nn 4\r\n0 1 \r\n1 0\r\n\r\n", Graph(4, [(0, 1)])))
+def test_parse_matches_the_line_oracle_on_well_formed_input(case):
+    text, g = case
+    assert parse_edge_list(text) == oracle_parse_edge_list(text) == g
+
+
+def _outcome(parse, text):
+    """The graph ``parse`` returns, or the type, text and line of its error."""
+    try:
+        return parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+_TOKENS = (
+    "0", "1", "2", "3", "4", "7", "9", "10", "11", "12", "007", "99", "n",
+    "x", "-1", "-0", "+0", "1_0", "\u0663", "1.0", "0x1", "\u00b2",
+)
+
+
+@st.composite
+def _malformed_edge_lists(draw):
+    """Lines of one to three tokens, good and bad, headers anywhere, and
+    comments, blank lines and either line ending."""
+    token = st.sampled_from(_TOKENS)
+    pair = st.tuples(token, token).map(" ".join)
+    line = st.one_of(
+        pair,
+        pair,
+        st.lists(token, min_size=1, max_size=3).map(" ".join),
+        token.map("n {}".format),
+        st.sampled_from(("", "  ", "# comment", "0 1", "1 2", "2 3", "3 3")),
+    )
+    lines = draw(st.lists(line, min_size=1, max_size=8))
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_malformed_edge_lists(), st.sampled_from((4, 10, 12, 1_000_000)))
+@example("0 1\n0 x\n", 1_000_000)
+@example("n 11\n0 1\n", 10)
+@example("0 1\n3 10\n", 10)
+@example("n 5\n0 1\nn 4\n", 10)
+@example("0 1 2\n-1 0\n", 10)
+def test_parse_matches_the_line_oracle_on_malformed_input(text, cap):
+    # The error, its message and its line, with the vertex cap rebound, as
+    # the oracle that checks each line in full before the next gives them.
+    saved = graph_module.MAX_VERTICES
+    graph_module.MAX_VERTICES = cap
+    try:
+        assert _outcome(parse_edge_list, text) == _outcome(oracle_parse_edge_list, text)
+    finally:
+        graph_module.MAX_VERTICES = saved
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_spanning_tree_hands_over_what_rooted_tree_derives(family):
+    # bfs_spanning_tree builds the sorted children itself; the tree must be
+    # the one RootedTree derives from the parent array, field for field.
+    g = generate(GeneratorSpec(family, 30, 7, {"p": 0.15} if family == "gnp-connected" else {}))
+    for root in sorted({0, choose_root(g), g.n - 1}):
+        tree = bfs_spanning_tree(g, root)
+        derived = RootedTree(tree.parent, root)
+        assert (tree.root, tree.parent, tree.children, tree.order) == (
+            derived.root, derived.parent, derived.children, derived.order
+        )
+        assert all(type(kids) is tuple for kids in tree.children)
