@@ -72,7 +72,8 @@ def build_parser():
 
     p = sub.add_parser(
         "stats",
-        help="print n, m, diam and (with --cats) memdim, the vertex attaining it and its degree",
+        help="print n, m, diam and (with --cats) the distinct categories, memdim, "
+        "the vertex attaining it and its degree",
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--cats")
@@ -158,6 +159,8 @@ def _stats(args):
         system = parse_categories(_read(args.cats), g.n)
         memdim = membership_dimension(system)
         vertex = [m.bit_count() for m in system.vertex_masks].index(memdim)
+        # Duplicate sets in the file collapse on parsing: distinct categories.
+        text += f"categories={system.num_categories}\n"
         text += f"memdim={memdim}\nmemdim_vertex={vertex}\nmemdim_degree={g.degree(vertex)}\n"
     return 0, text
 

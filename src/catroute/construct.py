@@ -53,10 +53,18 @@ Recognition (``_halfspaces``) runs no all-sources sweep:
 
 * one BFS from vertex 0 finds an odd cycle if there is one, and ecc(0).
   diam <= 2 ecc(0), so more than 2 ecc(0) classes rule the graph out;
-* each BFS-tree edge ab no class has cut yet gets one BFS from a and b at
-  once (``_split``; a bipartite graph has no ties). Its two sides are W_ab
-  and W_ba, and every edge across them joins the class. A cut that crosses
-  an edge some earlier class holds rules the graph out;
+* root passes (``_root_pass``) cut the classes, each pass one BFS from a
+  root a: the vertex with the most edges no class has cut yet, ties to the
+  one the BFS from 0 reached first. In a bipartite graph d(x, b) is
+  d(x, a) - 1 or d(x, a) + 1 for an edge ab, so W_ba is the set of x with
+  b on a shortest a-x path, and one BFS from a decides the class of every
+  edge at a. The pass takes up to 8 unclassified neighbours b_0, b_1, ...
+  of a and gives every vertex a byte whose bit j says b_j lies on a
+  shortest path from a; a vertex ORs in the bytes of all its BFS parents,
+  since its shortest paths from a run through them. Every edge joins a
+  parent to a child, and the edges whose ends differ in bit j are the cut
+  of class j. An edge whose ends differ in two bits, or that an earlier
+  class cut already, rules the graph out;
 * the certificate: for every vertex s, the AND of s's own halfspaces over
   the classes of its edges must be {s} alone;
 * the antipode test: some vertex's label complement must be another
@@ -76,11 +84,17 @@ required: without it, K_{2,3} passes the other tests with 2 classes and
 diam 2, yet its halfspaces leave two vertices with one label, and a route
 between them gets stuck.
 
-Cost: one BFS from 0, then at most 2 ecc(0) two-source BFS of O(n + m)
-steps each, which also collect the cut edges; the certificate takes one
-n-bit AND per edge end. O(ecc(0) (n + m)) steps in all. ``graph_categories``
-reaches the recognition only on graphs with a cycle; a path goes straight to
-``path_categories`` and any other tree to ``tree_categories``.
+Cost. A pass cuts every unclassified edge at its root, up to 8 of them,
+and at least one class, so there are at most as many passes as classes,
+and no more than 2 ecc(0) of them. Each pass is one BFS of O(n + m) steps
+plus one O(n) byte translation per class it cuts, and the root choice is
+one O(n) scan; the certificate takes one n-bit AND per cut edge end.
+O(ecc(0) (n + m)) steps in all. On a grid the pass count falls to about a
+quarter of the class count (15 passes for the 58 classes of the 30x30
+grid), on Q_d to ceil(d / 8), and on an even cycle, whose vertices have two
+edges, to half. ``graph_categories`` reaches the recognition only on graphs
+with a cycle; a path goes straight to ``path_categories`` and any other
+tree to ``tree_categories``.
 
 Why greedy routing delivers on the code families. Every set is connected
 on T: every member of one of v's sets other than v has its T-parent in the
@@ -128,9 +142,9 @@ from .categories import CategorySystem, _canonical, _CanonicalMasks
 from .errors import ValidationError
 from .graph import RootedTree, bfs_spanning_tree, choose_root
 
-# Reads a ``_split`` side array (1 for a's side, 2 for b's) as binary digits,
-# 1 on a's side.
-_NEAR = bytes.maketrans(b"\x01\x02", b"10")
+# _BIT[j] reads a ``_root_pass`` byte array as binary digits, 1 where bit j
+# of the byte is set.
+_BIT = [bytes(b"01"[b >> j & 1] for b in range(256)) for j in range(8)]
 
 
 def path_categories(g):
@@ -143,9 +157,9 @@ def path_categories(g):
     count n - 1 equals its diameter, so this is the halfspace system of the
     module docstring, and on a path those are the code families at any root:
     this is ``tree_categories`` on the BFS tree from vertex 0, O(n) big-int
-    ORs where the recognition would run one BFS per edge. A graph that is not
-    ``_path_shaped`` raises ``ValidationError``, and one that is but is not
-    connected the BFS's ``DisconnectedGraphError``.
+    ORs where the recognition would run one BFS per two edges. A graph that
+    is not ``_path_shaped`` raises ``ValidationError``, and one that is but
+    is not connected the BFS's ``DisconnectedGraphError``.
     """
     if not _path_shaped(g):
         raise ValidationError("input graph is not a path")
@@ -158,36 +172,49 @@ def _path_shaped(g):
     return g.n >= 2 and g.num_edges == g.n - 1 and max(map(len, g.adjacency)) <= 2
 
 
-def _split(adjacency, n, a, b, crossed):
-    """One BFS from the ends of edge ab at once, a bipartite graph's cut of
-    ab: ``(W_ab as a vertex mask, the ends on a's side, the ends on b's
-    side)`` of the edges across it, or None if one of those edges is in
-    ``crossed`` already.
+def _root_pass(adjacency, n, a, picks, crossed):
+    """One BFS from ``a`` that cuts the classes of the edges from ``a`` to
+    ``picks``, at most 8 neighbours of ``a``: a list of ``(W_ba as a vertex
+    mask, the cut edges' ends on b's side, their ends on a's side)``, one
+    per pick b, or None if some edge is cut twice, by two picks or by one
+    pick and a class in ``crossed``.
 
-    A vertex takes the side of the source that reaches it first, so W_ab is
-    {x : d(x, a) < d(x, b)}. An edge across the cut is seen from both of its
-    ends, each in turn. Each end is listed on its side once per such edge,
-    and ``crossed`` gains the edge in both directions as ``u * n + v``.
+    Bit j of ``bits[x]`` is set when picks[j] lies on a shortest a-x path,
+    which in a bipartite graph is when d(x, picks[j]) < d(x, a): x is in
+    W_ba for b = picks[j]. A child ORs in the bits of every parent. A
+    neighbour already expanded is a parent, since a BFS expands one level
+    in full before the next; so every edge is met once as child to parent,
+    and it is cut by class j when the two bytes differ in bit j. Each cut
+    edge enters ``crossed`` in both directions as ``u * n + v``.
     """
-    side = bytearray(n)
-    side[a] = 1
-    side[b] = 2
-    ends = (None, [], [])
-    queue = [a, b]
+    state = bytearray(n)  # 0 unseen, 1 queued, 2 expanded
+    bits = bytearray(n)
+    for j, b in enumerate(picks):
+        bits[b] = 1 << j
+    state[a] = 1
+    ends = [([], []) for _ in picks]
+    queue = [a]
     for u in queue:
-        su = side[u]
+        state[u] = 2
+        bu = bits[u]
         for v in adjacency[u]:
-            sv = side[v]
-            if not sv:
-                side[v] = su
-                queue.append(v)
-            elif sv != su:
-                key = u * n + v
-                if key in crossed:
-                    return None
-                crossed.add(key)
-                ends[su].append(u)
-    return int(side.translate(_NEAR)[::-1], 2), ends[1], ends[2]
+            if state[v] == 2:
+                cut = bu ^ bits[v]
+                if cut:
+                    key = u * n + v
+                    if cut & (cut - 1) or key in crossed:
+                        return None
+                    crossed.add(key)
+                    crossed.add(v * n + u)
+                    near_ends, far_ends = ends[cut.bit_length() - 1]
+                    near_ends.append(u)
+                    far_ends.append(v)
+            else:
+                if not state[v]:
+                    state[v] = 1
+                    queue.append(v)
+                bits[v] |= bu
+    return [(int(bits.translate(_BIT[j])[::-1], 2), *ends[j]) for j in range(len(picks))]
 
 
 def _halfspaces(g):
@@ -195,9 +222,10 @@ def _halfspaces(g):
     partial cube with exactly diam(g) Theta classes, else None.
 
     Follows the recognition of the module docstring: a BFS from vertex 0
-    (no odd cycle, ecc(0)), at most 2 ecc(0) cuts from BFS-tree edges by
-    ``_split``, then the certificate and the antipode test. None on fewer
-    than two vertices, and on a disconnected graph.
+    (no odd cycle, ecc(0)), at most 2 ecc(0) classes cut by ``_root_pass``
+    BFS from the roots with the most edges left unclassified, then the
+    certificate and the antipode test. None on fewer than two vertices, and
+    on a disconnected graph.
     """
     n = g.n
     if n < 2:
@@ -205,14 +233,12 @@ def _halfspaces(g):
     adjacency = g.adjacency
     dist = [-1] * n
     dist[0] = 0
-    parent = [0] * n
     order = [0]
     for u in order:
         du = dist[u]
         for v in adjacency[u]:
             if dist[v] < 0:
                 dist[v] = du + 1
-                parent[v] = u
                 order.append(v)
             elif dist[v] == du:
                 return None  # an edge within a level closes an odd cycle
@@ -223,22 +249,27 @@ def _halfspaces(g):
     certificate = [full] * n
     crossed = set()
     masks = []
-    for v in order[1:]:
-        a = parent[v]
-        if v * n + a in crossed:
-            continue
-        if len(masks) == 2 * cap:
-            return None  # one class more than diam can reach
-        cut = _split(adjacency, n, a, v, crossed)
-        if cut is None:
+    unknown = list(map(len, adjacency))  # edges at each vertex no class cuts yet
+    while True:
+        # Ties go to the vertex the BFS from 0 reached first.
+        a = max(order, key=unknown.__getitem__)
+        if not unknown[a]:
+            break
+        picks = [b for b in adjacency[a] if a * n + b not in crossed][:8]
+        if len(masks) + 2 * len(picks) > 2 * cap:
+            return None  # more classes than diam can reach
+        cuts = _root_pass(adjacency, n, a, picks, crossed)
+        if cuts is None:
             return None
-        near, near_ends, far_ends = cut
-        far = full ^ near
-        masks += (near, far)
-        for s in near_ends:
-            certificate[s] &= near
-        for s in far_ends:
-            certificate[s] &= far
+        for near, near_ends, far_ends in cuts:
+            far = full ^ near
+            masks += (near, far)
+            for s in near_ends:
+                certificate[s] &= near
+                unknown[s] -= 1
+            for s in far_ends:
+                certificate[s] &= far
+                unknown[s] -= 1
     # Each AND keeps s itself, so the certificate holds iff each is {s}.
     if sum(map(int.bit_count, certificate)) != n:
         return None

@@ -469,3 +469,71 @@ def oracle_halfspaces(g, classes):
         sets.append(tuple(x for x in range(g.n) if da[x] < db[x]))
         sets.append(tuple(x for x in range(g.n) if db[x] < da[x]))
     return sets
+
+
+def oracle_per_class_halfspaces(g):
+    """Halfspace recognition one Theta class at a time: the system of all
+    halfspaces of ``g`` when it is a connected partial cube with exactly
+    diam(g) classes, else None, as ``construct._halfspaces`` defines it.
+
+    A BFS from vertex 0 rules out odd cycles and disconnected graphs and caps
+    the class count at 2 ecc(0). Then each BFS-tree edge ab no class has cut
+    yet gets its own BFS from a and b at once: a vertex takes the side of the
+    end that reaches it first, and every edge across the two sides joins the
+    class, unless an earlier class cut it already. Last come the certificate
+    (the AND of a vertex's own halfspaces over the classes of its edges is
+    the vertex alone) and the antipode test (some label's complement is a
+    label).
+    """
+    n = g.n
+    if n < 2:
+        return None
+    depth = [-1] * n
+    depth[0] = 0
+    parent = [0] * n
+    order = [0]
+    for u in order:
+        for v in g.adjacency[u]:
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
+                parent[v] = u
+                order.append(v)
+            elif depth[v] == depth[u]:
+                return None
+    if len(order) < n:
+        return None
+    cap = 2 * depth[order[-1]]
+    crossed = set()
+    sides = []
+    own = [set() for _ in range(n)]  # the halfspaces of the classes at each vertex
+    for v in order[1:]:
+        a = parent[v]
+        if (a, v) in crossed:
+            continue
+        if len(sides) == 2 * cap:
+            return None
+        side = [0] * n
+        side[a], side[v] = 1, 2
+        queue = [a, v]
+        cut = []
+        for x in queue:
+            for y in g.adjacency[x]:
+                if not side[y]:
+                    side[y] = side[x]
+                    queue.append(y)
+                elif side[y] != side[x]:
+                    if (x, y) in crossed:
+                        return None
+                    cut.append((x, y))
+        halves = (None, frozenset(x for x in range(n) if side[x] == 1), frozenset(x for x in range(n) if side[x] == 2))
+        crossed.update(cut)
+        for x, _ in cut:
+            own[x].add(halves[side[x]])
+        sides += halves[1:]
+    if any(frozenset.intersection(*own[s]) != {s} for s in range(n)):
+        return None
+    system = CategorySystem(n, map(sorted, sides))
+    labels = [frozenset(i for i, members in enumerate(sides) if s in members) for s in range(n)]
+    if not any(frozenset(range(len(sides))) - label in labels for label in labels):
+        return None
+    return system

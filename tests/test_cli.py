@@ -241,8 +241,16 @@ class TestStats:
         graph_file, cats_file = counter_files
         assert main(["stats", "--graph", graph_file, "--cats", cats_file]) == 0
         assert capsys.readouterr().out == (
-            "n=4\nm=4\ndiam=2\nmemdim=4\nmemdim_vertex=1\nmemdim_degree=2\n"
+            "n=4\nm=4\ndiam=2\ncategories=6\nmemdim=4\nmemdim_vertex=1\nmemdim_degree=2\n"
         )
+
+    def test_categories_counts_distinct_sets(self, counter_files, tmp_path, capsys):
+        # The file lists {0, 1} three times and {2, 3} once: two categories.
+        graph_file, _ = counter_files
+        cats_file = tmp_path / "twice.json"
+        cats_file.write_text('{"n":4,"categories":[[0,1],[2,3],[1,0],[0,1]]}\n')
+        assert main(["stats", "--graph", graph_file, "--cats", str(cats_file)]) == 0
+        assert capsys.readouterr().out.splitlines()[3:5] == ["categories=2", "memdim=1"]
 
 
     @pytest.mark.parametrize(

@@ -44,6 +44,7 @@ from conftest import (
     oracle_halfspaces,
     oracle_is_ancestor,
     oracle_memberships,
+    oracle_per_class_halfspaces,
     oracle_theta_classes,
     path_graph,
     random_binary_tree,
@@ -509,6 +510,21 @@ def _hypercube(d):
     return Graph(1 << d, ((v, v ^ 1 << i) for v in range(1 << d) for i in range(d)))
 
 
+def _grid(rows, cols):
+    return generate(GeneratorSpec("grid", rows * cols, params={"rows": rows, "cols": cols}))
+
+
+def _relabelled(g, ids):
+    """``g`` with vertex v renamed ``ids[v]``."""
+    return Graph(g.n, ((ids[u], ids[v]) for u, v in g.edges()))
+
+
+def _shuffled(g, rng):
+    ids = list(range(g.n))
+    rng.shuffle(ids)
+    return _relabelled(g, ids)
+
+
 # Bipartite, with two Theta classes and diam 2, but no partial cube: 0, 1
 # and 2 share one label in the halfspace system.
 K23 = Graph(5, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
@@ -543,30 +559,114 @@ def _assert_shortest_routes(g, system):
                 assert trace.delivered and trace.hops == dist[t]
 
 
+@pytest.fixture
+def root_passes(monkeypatch):
+    """The argument tuples of the ``construct._root_pass`` calls made while
+    the test runs."""
+    calls = []
+    root_pass = construct._root_pass
+    monkeypatch.setattr(construct, "_root_pass", lambda *args: calls.append(args) or root_pass(*args))
+    return calls
+
+
 class TestHalfspaces:
-    def test_every_small_graph_against_the_theta_oracle(self, monkeypatch):
+    def test_every_small_graph_against_the_theta_oracle(self, root_passes):
         # _halfspaces accepts exactly the partial cubes with diam(g) classes
         # among all 27,475 connected graphs on 2 to 6 labelled vertices, and
-        # a graph with an odd cycle is turned away before any cut.
-        cuts = []
-        split = construct._split
-        monkeypatch.setattr(construct, "_split", lambda *args: cuts.append(args) or split(*args))
+        # a graph with an odd cycle is turned away before any root pass.
         seen = accepted = 0
         for g in _connected_labelled_graphs(6):
             seen += 1
-            cuts.clear()
+            root_passes.clear()
             classes = oracle_theta_classes(g)
             system = _halfspaces(g)
             expected = classes is not None and len(classes) == diameter(g)
             assert (system is not None) == expected, sorted(g.edges())
             if _has_odd_cycle(g):
-                assert not cuts, sorted(g.edges())
+                assert not root_passes, sorted(g.edges())
             if system is not None:
                 accepted += 1
                 assert system == CategorySystem(g.n, oracle_halfspaces(g, classes))
                 assert graph_categories(g) == system
                 _assert_shortest_routes(g, system)
         assert (seen, accepted) == (27475, 1279)
+
+    def _assert_matches_the_per_class_oracle(self, g):
+        system, expected = _halfspaces(g), oracle_per_class_halfspaces(g)
+        assert (system is None) == (expected is None), sorted(g.edges())
+        if system is not None:
+            assert system == expected and system.vertex_masks == expected.vertex_masks
+
+    def test_grids_against_the_per_class_oracle(self):
+        rng = seeded(67)
+        for rows, cols in [(2, 2), (2, 9), (3, 3), (4, 7), (5, 5), (6, 11), (10, 10), (8, 30), (17, 23), (30, 30)]:
+            g = _grid(rows, cols)
+            self._assert_matches_the_per_class_oracle(g)
+            self._assert_matches_the_per_class_oracle(_shuffled(g, rng))
+        # Vertex 0 at the centre of a 9x9 grid: 16 classes, 2 ecc(0) = 16.
+        ids = list(range(81))
+        ids[0], ids[40] = 40, 0
+        assert _halfspaces(_relabelled(_grid(9, 9), ids)).num_categories == 32
+
+    def test_cycles_against_the_per_class_oracle(self):
+        rng = seeded(71)
+        for n in [3, 4, 5, 6, 7, 8, 9, 10, 15, 16, 33, 34, 99, 100, 199, 200]:
+            self._assert_matches_the_per_class_oracle(cycle_graph(n))
+            self._assert_matches_the_per_class_oracle(_shuffled(cycle_graph(n), rng))
+
+    def test_hypercubes_against_the_per_class_oracle(self):
+        # Q_9 and Q_10 have more than 8 classes at the first root.
+        rng = seeded(73)
+        for d in range(1, 11):
+            g = _shuffled(_hypercube(d), rng) if d % 2 else _hypercube(d)
+            self._assert_matches_the_per_class_oracle(g)
+            assert _halfspaces(g).num_categories == 2 * d
+
+    @pytest.mark.parametrize("g", [K23, K24], ids=["K23", "K24"])
+    def test_complete_bipartite_graphs_against_the_per_class_oracle(self, g):
+        self._assert_matches_the_per_class_oracle(g)
+
+    def test_random_bipartite_graphs_against_the_per_class_oracle(self):
+        rng = seeded(79)
+        tried = accepted = 0
+        while tried < 300:
+            n = rng.randint(2, 14)
+            left = rng.randint(1, n - 1)
+            p = rng.choice((0.15, 0.25, 0.4, 0.6))
+            g = Graph(n, [(u, v) for u in range(left) for v in range(left, n) if rng.random() < p])
+            if not is_connected(g):
+                continue
+            g = _shuffled(g, rng)
+            tried += 1
+            self._assert_matches_the_per_class_oracle(g)
+            accepted += _halfspaces(g) is not None
+        assert accepted
+
+    def test_random_trees_against_the_per_class_oracle(self):
+        rng = seeded(83)
+        for _ in range(100):
+            tree = random_tree(rng, rng.randint(2, 40), rng.choice(("uniform", "hub")))
+            self._assert_matches_the_per_class_oracle(_shuffled(tree.graph, rng))
+
+    @pytest.mark.parametrize(
+        ("g", "passes"),
+        [(_grid(30, 30), 15), (cycle_graph(200), 50), (_hypercube(8), 1), (_hypercube(10), 2)],
+        ids=["grid900", "cycle200", "Q8", "Q10"],
+    )
+    def test_one_pass_settles_every_class_at_its_root(self, root_passes, g, passes):
+        # Each pass roots at a vertex with the most unclassified edges and
+        # cuts up to 8 of them, whatever the vertex ids.
+        rng = seeded(89)
+        for h in (g, _shuffled(g, rng), _shuffled(g, rng)):
+            root_passes.clear()
+            assert _halfspaces(h) is not None
+            assert len(root_passes) == passes
+
+    def test_more_classes_than_the_cap_run_no_pass(self, root_passes):
+        # A star's hub 0 has ecc 1, so its 3 classes exceed 2 ecc(0) = 2
+        # before any pass; with 2 leaves the path fits the cap.
+        assert _halfspaces(star_graph(4)) is None and not root_passes
+        assert _halfspaces(star_graph(3)) == path_categories(star_graph(3)) and len(root_passes) == 1
 
     def test_random_bipartite_graphs_against_the_theta_oracle(self):
         rng = seeded(59)
