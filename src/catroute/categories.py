@@ -27,6 +27,19 @@ share one canonicalisation that works on masks alone:
   when first read, so construction, routing and the membership dimension
   never make one Python int per membership. Serialization builds none:
   it picks each member's name string straight off the masks.
+* **Validation by exception.** A member reaches its mask through two tables
+  indexed by vertex id, so the scatter itself raises ``IndexError`` for an
+  id of n or more and ``TypeError`` for a float, a string or a list. What
+  it cannot see is a negative id, which indexes from the tables' end, or a
+  bool, which indexes as 0 or 1. ``parse_categories`` rules both out with
+  one C-level test on the text: every byte is an ASCII digit, one of
+  ``,[]{}:"``, JSON whitespace or a letter of the keys ``n`` and
+  ``categories``, and such text spells no bool, null, minus sign, NaN or
+  escape. ``CategorySystem(n, sets)`` finds negative ids with one ``min``
+  over all members. Only a file that fails the test, or a scatter that
+  raises, goes through the in-order validator, the one place a member
+  error is written: type before size before range, and the first
+  offending member in input order.
 
 Interchange format, shared by the CLI subcommands:
 
@@ -57,30 +70,33 @@ _SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0
 # lines warm from one vertex to the next, and holds less memory at once; a
 # larger one takes fewer slices per vertex.
 _TILE = 128
+# The bytes of a plain category file: ASCII digits, the punctuation of an
+# object of lists of lists, JSON whitespace and the letters of the keys "n"
+# and "categories". They spell no true, false, null, minus sign, NaN,
+# Infinity or backslash escape.
+_PLAIN = b'0123456789,[]{}:" \t\n\rncategories'
 
 
-def _member_tuples(masks, labels):
-    """Each non-negative mask below ``2**len(labels)`` as the ascending tuple
-    of its members' labels, bit v standing for ``labels[v]``.
+def _member_lists(masks, labels):
+    """Each non-negative mask below ``2**len(labels)`` as the ascending list
+    of its members' labels, bit v standing for ``labels[v]``, one at a time.
 
     Only non-zero bytes and members take Python steps: ``compress`` skips the
     zero bytes in C over one table of each byte's 8 labels, and one
     ``translate`` that deletes the zeros yields the non-zero byte values. The
-    tuples share the table's label objects, one per vertex.
+    lists share the table's label objects, one per vertex.
     """
     octets = [tuple(labels[j:j + 8]) for j in range(0, len(labels), 8)]
     bits = _BYTE_BITS
-    tuples = []
     for mask in masks:
         data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
         nonzero = data.translate(None, b"\0")
-        tuples.append(tuple([ids[i] for ids, b in zip(compress(octets, data), nonzero) for i in bits[b]]))
-    return tuples
+        yield [ids[i] for ids, b in zip(compress(octets, data), nonzero) for i in bits[b]]
 
 
 def _members(mask):
     """Ascending member tuple of a non-negative mask."""
-    return _member_tuples((mask,), range(mask.bit_length()))[0]
+    return tuple(next(_member_lists((mask,), range(mask.bit_length()))))
 
 
 def _check_size(n):
@@ -88,30 +104,62 @@ def _check_size(n):
         raise ValidationError("universe size must be non-negative")
 
 
-def _set_masks(n, sets):
-    """The distinct masks of ``sets``, in order of first appearance.
+def _plain(text):
+    """Whether ``text`` is a str of ``_PLAIN`` bytes alone: one C-level
+    deletion over one ASCII copy of it."""
+    return isinstance(text, str) and text.isascii() and not text.encode("ascii").translate(None, _PLAIN)
 
-    The size is checked before any set is read. Sets are range-checked in
-    input order; an out-of-range message names the set's first offending
-    member in input order, so ``sets`` must yield re-iterable member
-    collections. A member is scattered through two tables indexed by vertex
-    id, its byte offset and its bit value. Kept in input order, the masks of
-    a canonical file reach ``_canonical_order``'s sort as one sorted run.
+
+def _scatter(n, rows):
+    """The distinct masks of ``rows``, in order of first appearance, n >= 0.
+
+    A member is scattered through two tables indexed by vertex id, its byte
+    offset and its bit value, so a member that is no vertex id raises there:
+    ``IndexError`` at n or above, ``TypeError`` for a float, a string or a
+    list, and for a row that is not iterable. A negative id would index from
+    the tables' end and a bool as 0 or 1, so callers rule those out. Kept in
+    input order, the masks of a canonical file reach ``_canonical_order``'s
+    sort as one sorted run.
     """
-    _check_size(n)
     masks = {}
     width = (n + 7) >> 3
     byte = [v >> 3 for v in range(n)]
     bit = [1 << (v & 7) for v in range(n)]
-    for members in sets:
-        if members and (min(members) < 0 or max(members) >= n):
-            bad = next(v for v in members if not 0 <= v < n)
-            raise ValidationError(f"category member {bad} out of range for n={n}")
+    for members in rows:
         row = bytearray(width)
         for v in members:
             row[byte[v]] |= bit[v]
         masks[int.from_bytes(row, "little")] = None
     return masks
+
+
+def _checked_masks(n, rows):
+    """``_scatter(n, rows)`` after validation in input order, which raises
+    the first error it meets: a row that is no list or tuple, or a member
+    that is no int, then a negative size, then a member out of range, the
+    first such member in input order."""
+    # JSON numbers decode to exactly int or float; bools are their own type.
+    # The rows are checked first, so the members' scan reads only lists
+    # and tuples.
+    if not set(map(type, rows)) <= {list, tuple} or not set(map(type, chain.from_iterable(rows))) <= {int}:
+        raise ParseError("each category must be a list of integer vertex ids")
+    _check_size(n)
+    bad = next((v for v in chain.from_iterable(rows) if not 0 <= v < n), None)
+    if bad is not None:
+        raise ValidationError(f"category member {bad} out of range for n={n}")
+    return _scatter(n, rows)
+
+
+def _set_masks(n, rows, trusted):
+    """The distinct masks of ``rows``, a list of member lists or tuples:
+    straight from the scatter when ``trusted`` (no negative id, no bool, and
+    n >= 0) and it raises nothing, else ``_checked_masks``."""
+    if trusted:
+        try:
+            return _scatter(n, rows)
+        except (IndexError, TypeError):
+            pass
+    return _checked_masks(n, rows)
 
 
 def _canonical_order(n, masks):
@@ -202,10 +250,13 @@ class CategorySystem:
     __slots__ = ("n", "category_masks", "vertex_masks", "_categories")
 
     def __init__(self, n, sets=()):
-        # operator.index turns bools and other int-likes into plain ints, and
-        # the tuples keep one-shot member iterables readable for the range
-        # check's message.
-        self._adopt(_canonical(n, _set_masks(n, (tuple(map(index, members)) for members in sets))))
+        # The size is checked before any set is read. operator.index turns
+        # bools and other int-likes into plain ints, and the tuples keep
+        # one-shot member iterables readable for the range check's message.
+        _check_size(n)
+        rows = [tuple(map(index, members)) for members in sets]
+        trusted = min(chain.from_iterable(rows), default=0) >= 0
+        self._adopt(_canonical(n, _set_masks(n, rows, trusted)))
 
     @classmethod
     def from_masks(cls, n, masks):
@@ -234,7 +285,7 @@ class CategorySystem:
     def categories(self):
         """Each category's ascending member tuple, built on first read."""
         if self._categories is None:
-            self._categories = tuple(_member_tuples(self.category_masks, range(self.n)))
+            self._categories = tuple(map(tuple, _member_lists(self.category_masks, range(self.n))))
         return self._categories
 
     @property
@@ -272,7 +323,18 @@ def parse_categories(text, n):
 
     The file's own "n" must match; members must be in range; duplicate sets
     collapse and empty sets are rejected.
+
+    Validation rule: a plain file, one whose bytes are all ``_PLAIN`` and
+    whose rows are all lists, goes straight to the scatter, which raises on
+    any member that is not a vertex id, so no pass over the members only
+    validates. A file that is not plain, such as one with ``-0`` members or
+    a key spelled with a ``\\u`` escape, and a plain one whose scatter
+    raises, go through the in-order validator. It gives the same system or
+    the same error as if every file took it: types before the range, and
+    the first offending member in input order.
     """
+    # Before json.loads, so that the text's ASCII copy is freed first.
+    plain = _plain(text)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -286,11 +348,10 @@ def parse_categories(text, n):
     sets = payload["categories"]
     if not isinstance(sets, list):
         raise ParseError('"categories" must be a list of member lists')
-    # JSON numbers decode to exactly int or float; bools are their own type.
-    # The rows are checked first, so the members' scan reads only lists.
-    if not set(map(type, sets)) <= {list} or not set(map(type, chain.from_iterable(sets))) <= {int}:
-        raise ParseError("each category must be a list of integer vertex ids")
-    return CategorySystem._of(_canonical(n, _set_masks(n, sets)))
+    # An empty string or object as a row would scatter to an empty mask and
+    # raise the wrong error, so rows that are not lists take the validator.
+    trusted = plain and set(map(type, sets)) <= {list}
+    return CategorySystem._of(_canonical(n, _set_masks(n, sets, trusted)))
 
 
 def serialize_categories(system):
@@ -302,5 +363,5 @@ def serialize_categories(system):
     no member tuple is built.
     """
     names = list(map(str, range(system.n)))
-    rows = ",".join(["[%s]" % ",".join(members) for members in _member_tuples(system.category_masks, names)])
+    rows = ",".join(["[%s]" % ",".join(members) for members in _member_lists(system.category_masks, names)])
     return '{"n":%d,"categories":[%s]}\n' % (system.n, rows)

@@ -22,7 +22,7 @@ from .checks import (
     is_shattered,
     verify_all_pairs_routing,
 )
-from .construct import _category_masks
+from .construct import _category_masks, _halfspaces
 from .errors import GenerationError, InternalCheckError, ParseError, ValidationError
 from .fixtures import run_fixtures
 from .graph import diameter, parse_edge_list
@@ -154,7 +154,12 @@ def _check(args):
 
 def _stats(args):
     g = parse_edge_list(_read(args.graph))
-    text = f"n={g.n}\nm={g.num_edges}\ndiam={diameter(g)}\n"
+    # A partial cube with diam(g) Theta classes has two halfspaces per class,
+    # and its recognition is faster than the reach sweep. A tree skips it, as
+    # in the construction: the centre peel gives its diameter.
+    halfspaces = _halfspaces(g) if g.num_edges != g.n - 1 else None
+    diam = diameter(g) if halfspaces is None else halfspaces.num_categories // 2
+    text = f"n={g.n}\nm={g.num_edges}\ndiam={diam}\n"
     if args.cats:
         system = parse_categories(_read(args.cats), g.n)
         memdim = membership_dimension(system)

@@ -8,12 +8,15 @@ independent of the implementation paths they check.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import re
+from itertools import chain
 
 from catroute import CategorySystem, Graph, RootedTree, bfs_distances
 from catroute import graph as graph_module
+from catroute.categories import _canonical, _check_size
 from catroute.errors import ParseError, ValidationError
 
 
@@ -161,6 +164,62 @@ def oracle_spanning_parents(g, root):
         for v, d in enumerate(dist)
     ]
     return parent, dist
+
+
+def _reference_set_masks(n, sets):
+    """The distinct masks of ``sets``, in order of first appearance.
+
+    The size is checked before any set is read. Sets are range-checked in
+    input order; an out-of-range message names the set's first offending
+    member in input order, so ``sets`` must yield re-iterable member
+    collections. A member is scattered through two tables indexed by vertex
+    id, its byte offset and its bit value. Kept in input order, the masks of
+    a canonical file reach ``_canonical_order``'s sort as one sorted run.
+    """
+    _check_size(n)
+    masks = {}
+    width = (n + 7) >> 3
+    byte = [v >> 3 for v in range(n)]
+    bit = [1 << (v & 7) for v in range(n)]
+    for members in sets:
+        if members and (min(members) < 0 or max(members) >= n):
+            bad = next(v for v in members if not 0 <= v < n)
+            raise ValidationError(f"category member {bad} out of range for n={n}")
+        row = bytearray(width)
+        for v in members:
+            row[byte[v]] |= bit[v]
+        masks[int.from_bytes(row, "little")] = None
+    return masks
+
+
+def reference_parse_categories(text, n):
+    """Parse the JSON category format for a universe of size ``n``.
+
+    The file's own "n" must match; members must be in range; duplicate sets
+    collapse and empty sets are rejected.
+
+    The parse that type-scans every member and range-checks every row before
+    the scatter, kept verbatim as the reference for ``parse_categories``'s
+    results and error messages.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(payload, dict) or set(payload) != {"n", "categories"}:
+        raise ParseError('expected an object with exactly "n" and "categories"')
+    if not isinstance(payload["n"], int) or isinstance(payload["n"], bool):
+        raise ParseError('"n" must be an integer')
+    if payload["n"] != n:
+        raise ValidationError(f'category file declares n={payload["n"]}, expected n={n}')
+    sets = payload["categories"]
+    if not isinstance(sets, list):
+        raise ParseError('"categories" must be a list of member lists')
+    # JSON numbers decode to exactly int or float; bools are their own type.
+    # The rows are checked first, so the members' scan reads only lists.
+    if not set(map(type, sets)) <= {list} or not set(map(type, chain.from_iterable(sets))) <= {int}:
+        raise ParseError("each category must be a list of integer vertex ids")
+    return CategorySystem._of(_canonical(n, _reference_set_masks(n, sets)))
 
 
 def oracle_sets(system):

@@ -23,7 +23,7 @@ from catroute import (
     verify_all_pairs_routing,
 )
 from catroute import categories
-from catroute.categories import _member_tuples, _members
+from catroute.categories import _member_lists, _members
 from catroute.construct import _category_masks
 from catroute.fixtures import counterexample_cycle
 
@@ -33,6 +33,7 @@ from conftest import (
     oracle_distance,
     oracle_membership_dimension,
     random_category_system,
+    reference_parse_categories,
     seeded,
 )
 
@@ -152,6 +153,13 @@ class TestConstruction:
         # The first offending set wins, even where an empty set comes earlier.
         with pytest.raises(ValidationError, match=r"^category member 6 out of range for n=5$"):
             CategorySystem(5, [(), (6,), (7,)])
+
+    def test_negative_ids_are_out_of_range(self):
+        # The scatter's tables would read a negative id from their end.
+        with pytest.raises(ValidationError, match=r"^category member -1 out of range for n=5$"):
+            CategorySystem(5, [(0, 4), (3, -1, 9)])
+        with pytest.raises(ValidationError, match=r"^category member -5 out of range for n=5$"):
+            CategorySystem(5, [(-5,)])
 
     def test_out_of_range_message_from_one_shot_members(self):
         with pytest.raises(ValidationError, match=r"^category member 8 out of range for n=3$"):
@@ -374,8 +382,8 @@ def _labelled_masks(draw):
 def test_member_tuples_pick_labels_off_the_masks(case):
     n, labels, masks = case
     expected = [_member_tuple(mask, n) for mask in masks]
-    assert _member_tuples(masks, labels) == [tuple(labels[v] for v in members) for members in expected]
-    assert _member_tuples(masks, range(n)) == expected
+    assert list(_member_lists(masks, labels)) == [[labels[v] for v in members] for members in expected]
+    assert list(map(tuple, _member_lists(masks, range(n)))) == expected
     assert [_members(mask) for mask in masks] == expected
 
 
@@ -552,3 +560,88 @@ def test_parse_matches_canonical_oracle_on_non_canonical_files(case):
     parsed = parse_categories(json.dumps({"n": n, "categories": rows}), n)
     _assert_matches_oracle(parsed, n, expected)
     assert serialize_categories(parsed) == _row_list_json(parsed)
+
+
+# Member tokens that a plain file cannot hold (a bool, null, a minus sign,
+# NaN) or that it can but that are no vertex id (a float in exponent form, a
+# string, a list, an int past any index); n itself is added per file.
+_MEMBER_TOKENS = ("true", "false", "null", "-3", "-0", "1.5", "1e0", "NaN", '"cat"', "[1]", str(10**30))
+# Rows that are no list of members, two of which iterate as empty.
+_ROW_TOKENS = ('""', "{}", "7", '"cat"', "[]")
+
+
+def _render(n, rows, pretty, escaped):
+    """A category file from its rows, each a list of member tokens or a raw
+    row token, compact as the serializer writes it or pretty-printed as
+    ``json.dumps`` with ``indent=1`` would, with the "n" key spelled as
+    ``\\u006e`` when ``escaped``."""
+    key = '"\\u006e"' if escaped else '"n"'
+    texts = [row if isinstance(row, str) else "[%s]" % (", " if pretty else ",").join(row) for row in rows]
+    if pretty:
+        return '{\n %s: %d,\n "categories": [\n  %s\n ]\n}\n' % (key, n, ",\n  ".join(texts))
+    return '{%s:%d,"categories":[%s]}\n' % (key, n, ",".join(texts))
+
+
+@st.composite
+def _mutated_files(draw):
+    """A canonical category file with one drawn token inserted once or twice
+    into its rows or between them, sometimes one more token, then drawn as
+    compact or pretty-printed text, the "n" key now and then escaped. One
+    kind of token per file, mostly, so that a token a plain file can hold is
+    not hidden behind one that sends the file to the validator."""
+    n = draw(st.one_of(st.integers(1, 20), st.sampled_from((63, 64, 65)), st.integers(250, 300)))
+    sets = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=10), min_size=1, max_size=8))
+    rows = [list(map(str, members)) for members in oracle_canonical(n, sets)[0]]
+    choices = [(True, token) for token in _MEMBER_TOKENS + (str(n),)] + [(False, token) for token in _ROW_TOKENS]
+    first = draw(st.sampled_from(choices + [None]))
+    inserts = [first] * draw(st.integers(1, 2)) if first else []
+    if draw(st.integers(0, 3)) == 0:
+        inserts.append(draw(st.sampled_from(choices)))
+    for in_row, token in inserts:
+        if in_row:
+            row = draw(st.sampled_from([row for row in rows if isinstance(row, list)]))
+            row.insert(draw(st.integers(0, len(row))), token)
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), token)
+    return n, _render(n, rows, draw(st.booleans()), draw(st.integers(0, 3)) == 0)
+
+
+def _outcome(parse, text, n):
+    """``parse(text, n)``'s system with its vertex masks, or its error's type
+    and message."""
+    try:
+        system = parse(text, n)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return system, system.vertex_masks
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_files())
+@example((5, '{"n":5,"categories":[[0,-3],[1]]}'))
+@example((5, '{"n":5,"categories":[[0,-0],[1]]}'))
+@example((5, '{"n":5,"categories":[[0,true],[1]]}'))
+@example((5, '{"n":5,"categories":[[0,"cat"],[1]]}'))
+@example((5, '{"n":5,"categories":[[0,1e0],[1]]}'))
+@example((5, '{"n":5,"categories":[[0],[1,5]]}'))
+@example((5, '{"n":5,"categories":[[0],[1,5],[1e0]]}'))
+@example((5, '{"n":5,"categories":[[0],"",[1]]}'))
+@example((5, '{\n "n": 5,\n "categories": [\n  [0, 4],\n  [1]\n ]\n}\n'))
+def test_parse_matches_the_reference_on_mutated_files(case):
+    n, text = case
+    assert _outcome(parse_categories, text, n) == _outcome(reference_parse_categories, text, n)
+
+
+@pytest.mark.parametrize("family, n, seed, params", [row[:4] for row in GOLDEN_BYTES], ids=[row[0] for row in GOLDEN_BYTES])
+def test_plain_files_skip_the_validator(family, n, seed, params, monkeypatch):
+    # A constructed file and its indent=1 copy are plain: the scatter alone
+    # validates them. A -0 member makes the copy not plain; it parses to the
+    # same system through the validator.
+    system = graph_categories(generate(GeneratorSpec(family, n, seed, params)))
+    text = serialize_categories(system)
+    negative_zero = text.replace("[0,", "[-0,", 1)
+    assert negative_zero != text
+    assert parse_categories(negative_zero, n) == system
+    pretty = json.dumps(json.loads(text), indent=1)
+    monkeypatch.setattr(categories, "_checked_masks", lambda n, rows: pytest.fail("validator run"))
+    assert parse_categories(text, n) == parse_categories(pretty, n) == system

@@ -24,8 +24,9 @@ from catroute.errors import InternalCheckError
 from catroute.fixtures import counterexample_cycle
 from catroute.graph import serialize_edge_list
 
-from conftest import path_graph, star_graph
+from conftest import cycle_graph, path_graph, random_tree, seeded, star_graph
 from test_categories import GOLDEN_BYTES
+from test_construct import K23, _hypercube
 
 # Families whose pinned graphs take the construction's tree branch, so that
 # `construct` writes them without transposing to vertex masks.
@@ -307,6 +308,41 @@ class TestStats:
         cats_file.write_text('{"n":5,"categories":[[0]]}\n')
         assert main(["stats", "--graph", graph_file, "--cats", str(cats_file)]) == 2
         assert capsys.readouterr() == ("", "error: category file declares n=5, expected n=4\n")
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            generate(GeneratorSpec("grid", 144)),
+            generate(GeneratorSpec("grid", 21, params={"rows": 3, "cols": 7})),
+            cycle_graph(12),
+            cycle_graph(7),
+            _hypercube(3),
+            _hypercube(5),
+            K23,
+            random_tree(seeded(5), 40).graph,
+            path_graph(9),
+            star_graph(9),
+            generate(GeneratorSpec("gnp-connected", 60, 3, {"p": 0.1})),
+            generate(GeneratorSpec("watts-strogatz", 60, 3, {"k": 4, "beta": 0.2})),
+        ],
+        ids=["grid-12x12", "grid-3x7", "cycle-12", "cycle-7", "Q3", "Q5", "K23", "tree-40", "path-9",
+             "star-9", "gnp-60", "watts-strogatz-60"],
+    )
+    def test_diameter_is_the_reach_sweeps(self, tmp_path, capsys, g):
+        # Partial cubes with diam classes read it off their halfspaces; every
+        # other graph, K_{2,3} and odd cycles among them, takes graph.diameter.
+        graph_file = tmp_path / "g.edges"
+        graph_file.write_text(serialize_edge_list(g))
+        assert main(["stats", "--graph", str(graph_file)]) == 0
+        assert capsys.readouterr().out == f"n={g.n}\nm={g.num_edges}\ndiam={graph_module.diameter(g)}\n"
+
+    @pytest.mark.parametrize("g, diam", [(generate(GeneratorSpec("grid", 900)), 58), (_hypercube(6), 6)], ids=["grid-30x30", "Q6"])
+    def test_partial_cubes_skip_the_reach_sweep(self, tmp_path, capsys, monkeypatch, g, diam):
+        graph_file = tmp_path / "g.edges"
+        graph_file.write_text(serialize_edge_list(g))
+        monkeypatch.setattr(cli_module, "diameter", lambda g: pytest.fail("reach sweep run"))
+        assert main(["stats", "--graph", str(graph_file)]) == 0
+        assert capsys.readouterr().out == f"n={g.n}\nm={g.num_edges}\ndiam={diam}\n"
 
 
 class TestBench:
