@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .categories import CategorySystem, membership_dimension
 from .checks import route_statistics
@@ -38,29 +38,24 @@ class BenchRecord:
     memdim: int
     all_pairs_ok: bool
     max_route_len: int
-    mean_route_len: float
+    mean_route_len: float = field(metadata={"format": ".4f"})
     construct_millis: int
-    ratio: float
+    ratio: float = field(metadata={"format": ".6f"})
 
     def csv_row(self):
-        return ",".join(
-            (
-                str(self.seed),
-                self.family,
-                str(self.n),
-                str(self.m),
-                str(self.diam),
-                str(self.memdim),
-                "true" if self.all_pairs_ok else "false",
-                str(self.max_route_len),
-                f"{self.mean_route_len:.4f}",
-                str(self.construct_millis),
-                f"{self.ratio:.6f}" if not math.isnan(self.ratio) else "nan",
-            )
-        )
+        """The cells in ``CSV_HEADER`` order: a bool as ``true`` or
+        ``false``, any other value through its field's format spec, if any."""
+        cells = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool):
+                cells.append("true" if value else "false")
+            else:
+                cells.append(format(value, f.metadata.get("format", "")))
+        return ",".join(cells)
 
 
-CSV_HEADER = ",".join(field.name for field in fields(BenchRecord))
+CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
 
 
 def bench_one(spec):

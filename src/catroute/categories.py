@@ -35,11 +35,10 @@ share one canonicalisation that works on masks alone:
   one C-level test on the text: every byte is an ASCII digit, one of
   ``,[]{}:"``, JSON whitespace or a letter of the keys ``n`` and
   ``categories``, and such text spells no bool, null, minus sign, NaN or
-  escape. ``CategorySystem(n, sets)`` finds negative ids with one ``min``
-  over all members. Only a file that fails the test, or a scatter that
-  raises, goes through the in-order validator, the one place a member
-  error is written: type before size before range, and the first
-  offending member in input order.
+  escape. A file that fails the test, a scatter that raises, and every
+  ``CategorySystem(n, sets)`` go through the in-order validator, the one
+  place a member error is written: type before size before range, and the
+  first offending member in input order.
 
 Interchange format, shared by the CLI subcommands:
 
@@ -150,18 +149,6 @@ def _checked_masks(n, rows):
     return _scatter(n, rows)
 
 
-def _set_masks(n, rows, trusted):
-    """The distinct masks of ``rows``, a list of member lists or tuples:
-    straight from the scatter when ``trusted`` (no negative id, no bool, and
-    n >= 0) and it raises nothing, else ``_checked_masks``."""
-    if trusted:
-        try:
-            return _scatter(n, rows)
-        except (IndexError, TypeError):
-            pass
-    return _checked_masks(n, rows)
-
-
 def _canonical_order(n, masks):
     """The masks sorted into the lexicographic order of their member tuples."""
     width = (n + 7) >> 3
@@ -255,8 +242,7 @@ class CategorySystem:
         # one-shot member iterables readable for the range check's message.
         _check_size(n)
         rows = [tuple(map(index, members)) for members in sets]
-        trusted = min(chain.from_iterable(rows), default=0) >= 0
-        self._adopt(_canonical(n, _set_masks(n, rows, trusted)))
+        self._adopt(_canonical(n, _checked_masks(n, rows)))
 
     @classmethod
     def from_masks(cls, n, masks):
@@ -329,9 +315,10 @@ def parse_categories(text, n):
     any member that is not a vertex id, so no pass over the members only
     validates. A file that is not plain, such as one with ``-0`` members or
     a key spelled with a ``\\u`` escape, and a plain one whose scatter
-    raises, go through the in-order validator. It gives the same system or
-    the same error as if every file took it: types before the range, and
-    the first offending member in input order.
+    raises, go through the in-order validator that ``CategorySystem(n,
+    sets)`` always runs. It gives the same system or the same error as if
+    every file took it: types before the range, and the first offending
+    member in input order.
     """
     # Before json.loads, so that the text's ASCII copy is freed first.
     plain = _plain(text)
@@ -350,8 +337,15 @@ def parse_categories(text, n):
         raise ParseError('"categories" must be a list of member lists')
     # An empty string or object as a row would scatter to an empty mask and
     # raise the wrong error, so rows that are not lists take the validator.
-    trusted = plain and set(map(type, sets)) <= {list}
-    return CategorySystem._of(_canonical(n, _set_masks(n, sets, trusted)))
+    masks = None
+    if plain and set(map(type, sets)) <= {list}:
+        try:
+            masks = _scatter(n, sets)
+        except (IndexError, TypeError):
+            pass
+    if masks is None:
+        masks = _checked_masks(n, sets)
+    return CategorySystem._of(_canonical(n, masks))
 
 
 def serialize_categories(system):

@@ -140,7 +140,7 @@ from operator import or_
 
 from .categories import CategorySystem, _canonical, _CanonicalMasks
 from .errors import ValidationError
-from .graph import RootedTree, bfs_spanning_tree, choose_root
+from .graph import RootedTree, _path_shaped, bfs_spanning_tree, choose_root
 
 # _BIT[j] reads a ``_root_pass`` byte array as binary digits, 1 where bit j
 # of the byte is set.
@@ -158,18 +158,12 @@ def path_categories(g):
     module docstring, and on a path those are the code families at any root:
     this is ``tree_categories`` on the BFS tree from vertex 0, O(n) big-int
     ORs where the recognition would run one BFS per two edges. A graph that
-    is not ``_path_shaped`` raises ``ValidationError``, and one that is but
-    is not connected the BFS's ``DisconnectedGraphError``.
+    is not ``graph._path_shaped`` raises ``ValidationError``, and one that
+    is but is not connected the BFS's ``DisconnectedGraphError``.
     """
     if not _path_shaped(g):
         raise ValidationError("input graph is not a path")
     return tree_categories(bfs_spanning_tree(g, 0))
-
-
-def _path_shaped(g):
-    """At least two vertices, n - 1 edges and no degree above 2: a path if
-    connected. Two C-level passes over the adjacency and no BFS."""
-    return g.n >= 2 and g.num_edges == g.n - 1 and max(map(len, g.adjacency)) <= 2
 
 
 def _root_pass(adjacency, n, a, picks, crossed):

@@ -218,12 +218,11 @@ def _components(n, edges):
 
 def _connected_sample(n, rng, sample):
     """Resample until connected, then patch components together if need be."""
-    edges = None
     for _ in range(_RESAMPLE_LIMIT):
         edges = sample()
-        if len(_components(n, edges)) == 1:
+        parts = _components(n, edges)
+        if len(parts) == 1:
             return Graph(n, edges)
-    parts = _components(n, edges)
     glued = list(edges)
     absorbed = parts[0]
     for part in parts[1:]:

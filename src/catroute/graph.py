@@ -165,9 +165,18 @@ def is_tree(g):
 
 
 def is_path(g):
-    """True for a simple path on at least two vertices: a tree of maximum
-    degree 2. The degree test runs first, so most graphs need no BFS."""
-    return g.n >= 2 and all(len(a) <= 2 for a in g.adjacency) and is_tree(g)
+    """True for a simple path on at least two vertices: a connected graph
+    that is ``_path_shaped``. The shape test runs first, so most graphs need
+    no BFS."""
+    return _path_shaped(g) and is_connected(g)
+
+
+def _path_shaped(g):
+    """At least two vertices, n - 1 edges and no degree above 2: a path if
+    connected. Two C-level passes over the adjacency and no BFS; the
+    construction dispatch reads it without ``is_path``'s BFS, since the path
+    construction's own BFS finds a disconnected graph."""
+    return g.n >= 2 and g.num_edges == g.n - 1 and max(map(len, g.adjacency)) <= 2
 
 
 def _root_and_diameter(g):

@@ -13,6 +13,7 @@ import math
 import random
 import re
 from itertools import chain
+from operator import index
 
 from catroute import CategorySystem, Graph, RootedTree, bfs_distances
 from catroute import graph as graph_module
@@ -190,6 +191,15 @@ def _reference_set_masks(n, sets):
             row[byte[v]] |= bit[v]
         masks[int.from_bytes(row, "little")] = None
     return masks
+
+
+def reference_category_system(n, sets):
+    """``CategorySystem(n, sets)`` by its rule, written out: the size check
+    before any set is read, each set's members through ``operator.index``
+    into a tuple, then ``_reference_set_masks``'s per-set range checks."""
+    _check_size(n)
+    rows = [tuple(map(index, members)) for members in sets]
+    return CategorySystem._of(_canonical(n, _reference_set_masks(n, rows)))
 
 
 def reference_parse_categories(text, n):

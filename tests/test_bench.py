@@ -17,6 +17,7 @@ from catroute import bench as bench_module
 from catroute.bench import (
     ALL_PAIRS_CAP,
     CSV_HEADER,
+    BenchRecord,
     bench_one,
     run_benchmark,
     specs_from_json,
@@ -87,6 +88,25 @@ class TestCsvOutput:
         assert lines[0] == CSV_HEADER
         assert lines[1].split(",")[1] == "path"
         assert lines[2].split(",")[1] == "star"
+
+    @pytest.mark.parametrize(
+        "changes, row",
+        [
+            ({}, "7,grid,9,12,4,4,true,4,2.0000,3,0.077809"),
+            ({"all_pairs_ok": False}, "7,grid,9,12,4,4,false,4,2.0000,3,0.077809"),
+            ({"ratio": math.nan}, "7,grid,9,12,4,4,true,4,2.0000,3,nan"),
+            ({"ratio": 0.25}, "7,grid,9,12,4,4,true,4,2.0000,3,0.250000"),
+            ({"mean_route_len": 1 / 3}, "7,grid,9,12,4,4,true,4,0.3333,3,0.077809"),
+        ],
+    )
+    def test_cells_of_hand_built_records(self, changes, row):
+        fields = dict(
+            seed=7, family="grid", n=9, m=12, diam=4, memdim=4, all_pairs_ok=True,
+            max_route_len=4, mean_route_len=2.0, construct_millis=3, ratio=0.0778093,
+        )
+        cells = BenchRecord(**{**fields, **changes}).csv_row()
+        assert cells == row
+        assert len(cells.split(",")) == len(CSV_HEADER.split(","))
 
     def test_byte_stable_apart_from_wall_clock(self):
         specs = [

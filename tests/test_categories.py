@@ -33,6 +33,7 @@ from conftest import (
     oracle_distance,
     oracle_membership_dimension,
     random_category_system,
+    reference_category_system,
     reference_parse_categories,
     seeded,
 )
@@ -645,3 +646,71 @@ def test_plain_files_skip_the_validator(family, n, seed, params, monkeypatch):
     pretty = json.dumps(json.loads(text), indent=1)
     monkeypatch.setattr(categories, "_checked_masks", lambda n, rows: pytest.fail("validator run"))
     assert parse_categories(text, n) == parse_categories(pretty, n) == system
+
+
+class _IntLike:
+    """No int, but an int to ``operator.index``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# How a drawn row reaches the constructor: a list, a tuple, a one-shot
+# iterator over its members, or a range as drawn.
+_ROW_MAKERS = {"list": list, "tuple": tuple, "iter": iter, "range": lambda members: members}
+
+
+@st.composite
+def _constructor_inputs(draw):
+    """A universe size, negative now and then, and rows of members that mix
+    valid ids with up to two kinds of member that is no vertex id or no int,
+    each row as ``(how it is made, its members)``, and whether the outer
+    sets come as a one-shot iterator. Half the cases draw at least one such
+    kind, so that a negative size often meets a member that
+    ``operator.index`` rejects."""
+    n = draw(st.one_of(st.integers(0, 12), st.sampled_from((-2, -1, 63, 64, 65))))
+    odd = {
+        "bool": st.booleans(),
+        "negative": st.integers(-5, -1),
+        "n": st.just(n),
+        "huge": st.just(10**30),
+        "int-like": st.integers(-1, max(n, 0)).map(_IntLike),
+        "float": st.sampled_from((0.0, 1.5)),
+        "string": st.sampled_from(("0", "cat")),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(odd)), min_size=draw(st.integers(0, 1)), max_size=2, unique=True))
+    ids = st.integers(0, max(n - 1, 0))
+    members = st.one_of(ids, *(odd[kind] for kind in kinds))
+    listed = st.tuples(st.sampled_from(("list", "tuple", "iter")), st.lists(members, min_size=1, max_size=6))
+    ranged = st.builds(range, st.integers(-2, n + 1), st.integers(-1, n + 2), st.sampled_from((1, 2, -1)))
+    rows = draw(st.lists(st.one_of(listed, ranged.map(lambda r: ("range", r))), max_size=6))
+    return n, rows, draw(st.booleans())
+
+
+def _constructed(make, case):
+    """``make(n, sets)``'s system with its vertex masks, or its error's type
+    and message, with every row made afresh, the outer sets a generator when
+    the case asks for one."""
+    n, rows, lazy = case
+    sets = [_ROW_MAKERS[how](members) for how, members in rows]
+    try:
+        system = make(n, iter(sets) if lazy else sets)
+    except (ParseError, ValidationError, TypeError) as exc:
+        return type(exc), str(exc)
+    return system, system.vertex_masks
+
+
+@settings(max_examples=400, deadline=None)
+@given(_constructor_inputs())
+@example((5, [("list", [0, True]), ("tuple", [1])], False))
+@example((5, [("tuple", [0, 4]), ("iter", [3, -1, 9])], False))
+@example((5, [("list", [0]), ("list", [1, 5]), ("list", [1.5])], True))
+@example((5, [("list", [_IntLike(2), 10**30])], False))
+@example((-1, [("list", [1.5])], False))
+@example((3, [("range", range(0, 4))], False))
+@example((3, [("iter", [2, 8, -1])], True))
+def test_constructor_matches_the_reference(case):
+    assert _constructed(CategorySystem, case) == _constructed(reference_category_system, case)
