@@ -324,7 +324,8 @@ def parse_categories(text, n):
     plain = _plain(text)
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Also a number longer than int() converts, or nesting past the stack.
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or set(payload) != {"n", "categories"}:
         raise ParseError('expected an object with exactly "n" and "categories"')

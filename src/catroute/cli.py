@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .bench import run_benchmark, specs_from_json
-from .categories import membership_dimension, parse_categories, serialize_categories
+from .categories import parse_categories, serialize_categories
 from .checks import (
     INTERNALLY_CONNECTED,
     SHATTERED,
@@ -162,8 +162,9 @@ def _stats(args):
     text = f"n={g.n}\nm={g.num_edges}\ndiam={diam}\n"
     if args.cats:
         system = parse_categories(_read(args.cats), g.n)
-        memdim = membership_dimension(system)
-        vertex = [m.bit_count() for m in system.vertex_masks].index(memdim)
+        counts = list(map(int.bit_count, system.vertex_masks))
+        memdim = max(counts)
+        vertex = counts.index(memdim)
         # Duplicate sets in the file collapse on parsing: distinct categories.
         text += f"categories={system.num_categories}\n"
         text += f"memdim={memdim}\nmemdim_vertex={vertex}\nmemdim_degree={g.degree(vertex)}\n"
@@ -171,9 +172,10 @@ def _stats(args):
 
 
 def _bench(args):
+    text = _read(args.spec)
     try:
-        payload = json.loads(_read(args.spec))
-    except json.JSONDecodeError as exc:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # as in parse_categories
         raise ParseError(f"invalid bench spec JSON: {exc}") from None
     return 0, run_benchmark(specs_from_json(payload))
 

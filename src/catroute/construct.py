@@ -279,28 +279,22 @@ def _halfspaces(g):
 
 
 def binary_tree_categories(tree):
-    """Subtree plus graded-slice categories for a rooted tree in which every
-    vertex has at most two children: the code families of the module
-    docstring, one per child.
+    """``tree_categories`` behind a check: a vertex of ``tree`` with three
+    or more children raises ``ValidationError``.
 
-    Per vertex v other than the root: the set of v's descendants (v
-    included). Per vertex v: for each child c of v when v has two children
-    or is the root, one set per depth i from depth(v) up to depth(v) plus
-    c's height, holding v, c's subtree cut off at depth i, and the whole
-    subtree of v's other child, if any. Which child is which does not
-    matter: both take their turn as the sliced one. On a path these are its
-    halfspaces, whatever the root.
-
-    The result is shattered and internally connected on the tree's graph, and
-    each vertex lies in at most (h+1)(2h+3) - 1 sets, h the tree height: for
-    each of its at most h+1 ancestors-or-self it picks up one subtree set,
-    the root excepted, and at most h+1 graded sets per side. A vertex with
-    three or more children raises ``ValidationError``.
+    With at most two children per vertex, the two children of a vertex take
+    the codes {0} and {1} (module docstring): each non-root vertex has its
+    subtree set, and each child c of a vertex v with two children or of the
+    root has one set per depth down c's subtree, holding v, that slice of
+    c's subtree and v's other subtree whole. Each vertex lies in at most
+    (h+1)(2h+3) - 1 sets, h the tree height: one subtree set per
+    ancestor-or-self but the root, and at most h+1 graded sets per side of
+    each.
     """
     for v, kids in enumerate(tree.children):
         if len(kids) > 2:
             raise ValidationError(f"vertex {v} has more than two children")
-    return CategorySystem.from_masks(tree.n, _masks(tree))
+    return tree_categories(tree)
 
 
 @dataclass(frozen=True)
@@ -383,14 +377,16 @@ def graph_categories(g):
     return CategorySystem._of(_category_masks(g))
 
 
-def _category_masks(g, root_of=choose_root):
+def _category_masks(g, root_of=None):
     """The one construction rule as ``_CanonicalMasks``, which ``catroute
     construct`` serializes and ``graph_categories`` and ``bench_one`` make a
     system of. ``root_of(g)``, the BFS tree's root, is called on the tree
-    branch alone. A graph with n - 1 edges skips the recognition: if
-    connected it is a tree, whose halfspaces apply exactly when it is a path.
-    The halfspace and path branches hand on the vertex masks their systems
-    have transposed; the tree branch transposes nothing.
+    branch alone; by default it is ``choose_root``, looked up then, so that
+    a rebinding after import (as perfbench/tracer.py makes) runs. A graph
+    with n - 1 edges skips the recognition: if connected it is a tree, whose
+    halfspaces apply exactly when it is a path. The halfspace and path
+    branches hand on the vertex masks their systems have transposed; the
+    tree branch transposes nothing.
     """
     if g.num_edges != g.n - 1:
         system = _halfspaces(g)
@@ -398,7 +394,7 @@ def _category_masks(g, root_of=choose_root):
         system = path_categories(g) if _path_shaped(g) else None
     if system is not None:
         return _CanonicalMasks(g.n, system.category_masks, system.vertex_masks)
-    return _canonical(g.n, set(_masks(bfs_spanning_tree(g, root_of(g)))))
+    return _canonical(g.n, set(_masks(bfs_spanning_tree(g, (root_of or choose_root)(g)))))
 
 
 def _code_bits(k):

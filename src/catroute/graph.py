@@ -186,8 +186,8 @@ def _root_and_diameter(g):
     C (``_peel_to_centre``). If it is a tree of radius r, the centres are
     its vertices of eccentricity r, so the root is min(C), and a longest
     path has C as its middle vertex or middle edge, so the diameter is 2r
-    for one centre and 2r - 1 for two: 2r - |C| + 1. Both come from the
-    peel alone, O(n) steps and O(n) memory, with no BFS.
+    for one centre and 2r - 1 for two: 2r - |C| + 1, 0 on a lone vertex.
+    Both come from the peel alone, O(n) steps and memory, with no BFS.
 
     Every other graph runs a bit-parallel BFS from all sources at once (the
     reach sweep of Akiba, Iwata and Yoshida, SIGMOD 2013). At level k each
@@ -207,10 +207,6 @@ def _root_and_diameter(g):
     cycle and is disconnected, and reaches that error through the sweep.
     """
     n = g.n
-    if n == 1:
-        yield 0
-        yield 0
-        return
     peeled = _peel_to_centre(g) if g.num_edges == n - 1 else None
     if peeled is not None:
         radius, centre = peeled
@@ -249,19 +245,21 @@ def _root_and_diameter(g):
 
 
 def _peel_to_centre(g):
-    """``(radius, centres)`` of ``g``, a graph on n >= 2 vertices with
+    """``(radius, centres)`` of ``g``, a graph on n >= 1 vertices with
     n - 1 edges, if it is a tree, else None.
 
     Removes all current leaves at once, layer by layer, tracking degrees,
     until at most two vertices are left: the centre, one vertex or two
-    adjacent ones. A tree with more than two vertices always has leaves, so
-    a layer that comes up empty first means a cycle, whose vertices never
-    become leaves. After t layers one centre has eccentricity t, and two
-    centres t + 1. O(n + m) steps.
+    adjacent ones. The first layer takes the vertices of degree 0 too: a
+    lone vertex is its own centre, and no larger tree has one. A tree with
+    more than two vertices always has leaves, so a layer that comes up empty
+    first means a cycle, whose three or more vertices never become leaves.
+    After t layers one centre has eccentricity t, and two centres t + 1.
+    O(n + m) steps.
     """
     adjacency = g.adjacency
     degree = [len(nbrs) for nbrs in adjacency]
-    layer = [v for v, d in enumerate(degree) if d == 1]
+    layer = [v for v, d in enumerate(degree) if d <= 1]
     left = g.n
     layers = 0
     while left > 2:

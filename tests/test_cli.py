@@ -430,6 +430,41 @@ class TestInputEncoding:
         assert captured.err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 4)\n"
 
 
+class TestJsonPastTheDecoder:
+    """json.loads raises a bare ValueError on a number longer than int()
+    converts, and RecursionError on brackets nested past its stack: both are
+    input errors, exit 2 with one line, like any other invalid JSON."""
+
+    DIGITS = "1" + "0" * 4999
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize("kind", ["digits", "deep"])
+    @pytest.mark.parametrize("command", ["check", "route", "stats", "bench"])
+    def test_exits_two_with_one_error_line(self, counter_files, tmp_path, capsys, command, kind):
+        graph_file, _ = counter_files
+        bad = str(tmp_path / "bad.json")
+        if command == "bench":
+            body = f'[{{"family":"path","n":{self.DIGITS}}}]' if kind == "digits" else self.DEEP
+            argv = ["bench", "--spec", bad]
+            # Without a digit limit, n reaches the verification cap instead.
+            prefixes = ("error: invalid bench spec JSON: ", "error: n=")
+        else:
+            rows = f"[[{self.DIGITS}]]" if kind == "digits" else self.DEEP
+            body = f'{{"n":4,"categories":{rows}}}'
+            argv = [command, "--graph", graph_file, "--cats", bad]
+            if command == "route":
+                argv += ["--from", "0", "--to", "1"]
+            # Without a digit limit, the member reaches the range check instead.
+            prefixes = ("error: invalid JSON: ", "error: category member ")
+        Path(bad).write_text(body)
+        limited = kind == "deep" or getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(prefixes[0] if limited else prefixes)
+
+
 class TestFixturesCommand:
     def test_exit_zero_and_pass_lines(self, capsys):
         assert main(["fixtures"]) == 0

@@ -14,7 +14,7 @@ from pathlib import Path
 import catroute.cli
 from catroute import GeneratorSpec, serialize_edge_list
 
-from conftest import path_graph, random_tree, seeded
+from conftest import path_graph, random_tree, seeded, star_graph
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -44,6 +44,9 @@ def test_a_traced_run_fills_the_layers_and_restores_the_package(tmp_path):
     graph_file = tmp_path / "p.edges"
     graph_file.write_text(serialize_edge_list(path_graph(12)))
     cats_file = tmp_path / "p.json"
+    # A star is a tree but no path, so its construction chooses a root.
+    star_file = tmp_path / "star.edges"
+    star_file.write_text(serialize_edge_list(star_graph(9)))
     hub_tree = random_tree(seeded(3), 20, skew="hub")
     tracer = tracer_module.Tracer()
     tracer.install()
@@ -52,6 +55,7 @@ def test_a_traced_run_fills_the_layers_and_restores_the_package(tmp_path):
         main = catroute.cli.main
         assert main(["construct", "--graph", str(graph_file), "--out", str(cats_file)]) == 0
         assert main(["check", "--graph", str(graph_file), "--cats", str(cats_file)]) == 0
+        assert main(["construct", "--graph", str(star_file), "--out", str(tmp_path / "star.json")]) == 0
         catroute.bench.bench_one(GeneratorSpec("star", 9, 1, {}))
         # No construction embeds a tree any more, so the embedding is called
         # here for its hook.
@@ -65,6 +69,7 @@ def test_a_traced_run_fills_the_layers_and_restores_the_package(tmp_path):
     for name in (
         "cli.construct_s",
         "cli.check_s",
+        "graph.choose_root_s",
         "construct.path_categories_s",
         "construct.fold_s",
         "checks.is_shattered_s",
