@@ -16,6 +16,14 @@ holds all of cat(t): no later neighbor can share more than all of them, so none
 can be strictly better, and the first maximum, the smallest id among ties, is
 the one already found.
 
+A hop never reads the vertex it came from. The hop p -> u was a strict gain,
+so p shares fewer of cat(t) than u and can never be u's next hop; skipping it
+changes no hop, tie-break or stuck verdict, and on a path or a cycle it halves
+the mask reads, one per hop instead of two. Only this per-message loop knows
+its predecessor: ``checks._next_hops`` settles a vertex's next hop for a
+block of targets at once, whatever neighbor a message arrived from, so it
+reads every neighbor.
+
 A hub hop onto an adjacent target reads one neighbor. When u has more
 neighbors than t has categories, and u lacks one of them, the hop bisects u's
 sorted adjacency for t. If t is there, it ANDs the masks of t's categories
@@ -77,8 +85,9 @@ def greedy_step(g, system, u, t):
 
     The answer depends only on u's neighborhood and the membership of u, t
     and those neighbors; there is no global distance oracle. It walks the
-    route from ``u`` and returns its second vertex, so the step rule is
-    written once, in ``greedy_route``.
+    route from ``u`` and returns its second vertex, so this module writes
+    the step rule once, in ``greedy_route``; ``checks._next_hops`` is the
+    all-pairs sweep's copy.
     """
     if u == t:
         raise ValidationError("nothing to forward: already at the target")
@@ -93,9 +102,11 @@ def greedy_route(g, system, source, target):
     No hop cap is needed: each hop goes to a neighbor sharing strictly more of
     the target's categories, a count that never exceeds |cat(t)| <= memdim,
     so a route ends within d(source, target) hops. A hop reads the neighbors
-    only up to the first that holds all of cat(t), and a hub hop onto an
-    adjacent target reads only the target (see the module docstring).
-    Adjacency is sorted, so the first maximum is the smallest id.
+    only up to the first that holds all of cat(t), never the vertex it came
+    from (the hop into u was a strict gain, so that vertex shares fewer than
+    u and cannot win), and a hub hop onto an adjacent target reads only the
+    target (see the module docstring). Adjacency is sorted, so the first
+    maximum is the smallest id.
     """
     _check_pair(g, system, source, target)
     adjacency = g.adjacency
@@ -104,6 +115,7 @@ def greedy_route(g, system, source, target):
     vt = vm[target]
     total = vt.bit_count()
     current = source
+    came_from = -1  # not None: the skip test stays an int-to-int compare
     shared = (vt & vm[current]).bit_count()
     path = [current]
     hop_distances = [total - shared]
@@ -125,13 +137,15 @@ def greedy_route(g, system, source, target):
                     best, shared = target, total
         if best is None:
             for v in neighbors:
-                sv = (vt & vm[v]).bit_count()
-                if sv > shared:
-                    best, shared = v, sv
-                    if sv == total:
-                        break
+                if v != came_from:
+                    sv = (vt & vm[v]).bit_count()
+                    if sv > shared:
+                        best, shared = v, sv
+                        if sv == total:
+                            break
             if best is None:
                 return RouteTrace(source, target, tuple(path), tuple(hop_distances), False)
+        came_from = current
         current = best
         path.append(current)
         hop_distances.append(total - shared)

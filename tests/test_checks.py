@@ -140,6 +140,20 @@ class TestVerifyAllPairsRouting:
             next(iter_all_pair_routes(g, s))
 
 
+# Every generator family at a size whose all-pairs sweep is quick.
+CONSTRUCTED = [
+    ("path", 12, {}),
+    ("cycle", 12, {}),
+    ("cycle", 13, {}),
+    ("grid", 16, {}),
+    ("star", 9, {}),
+    ("complete", 7, {}),
+    ("random-tree", 30, {}),
+    ("gnp-connected", 30, {"p": 0.15}),
+    ("watts-strogatz", 30, {}),
+]
+
+
 class TestSweepMatchesSingleRoutes:
     def test_every_trace_agrees_with_greedy_route(self):
         g, s = counterexample_cycle()
@@ -155,6 +169,35 @@ class TestSweepMatchesSingleRoutes:
             s = random_category_system(rng, n)
             for trace in iter_all_pair_routes(g, s):
                 assert greedy_route(g, s, trace.source, trace.target) == trace
+
+    @pytest.mark.parametrize("family, n, params", CONSTRUCTED)
+    def test_agreement_on_constructed_systems(self, family, n, params):
+        g = generate(GeneratorSpec(family, n, 0, params))
+        s = graph_categories(g)
+        for trace in iter_all_pair_routes(g, s):
+            assert greedy_route(g, s, trace.source, trace.target) == trace
+
+    @pytest.mark.parametrize("family, n, params", CONSTRUCTED)
+    def test_agreement_with_a_tenth_of_the_categories_dropped(self, family, n, params):
+        g = generate(GeneratorSpec(family, n, 0, params))
+        sets = graph_categories(g).categories
+        dropped = set(seeded(n).sample(range(len(sets)), max(1, len(sets) // 10)))
+        s = CategorySystem(n, [members for i, members in enumerate(sets) if i not in dropped])
+        stuck_after_a_hop = 0
+        for trace in iter_all_pair_routes(g, s):
+            assert greedy_route(g, s, trace.source, trace.target) == trace
+            stuck_after_a_hop += not trace.delivered and trace.hops > 0
+        assert stuck_after_a_hop
+
+    def test_agreement_when_stuck_at_a_leaf_beside_the_predecessor(self):
+        # Toward 3, 1 ties 2 and wins by id, and 1's only neighbour is 0.
+        # Dropped constructed categories never strand a route at a leaf:
+        # they stay internally connected, so one that holds a leaf and the
+        # target holds the leaf's neighbour too.
+        g = Graph(4, [(0, 1), (0, 2), (2, 3)])
+        s = CategorySystem(4, [(1, 3), (0, 2), (2, 3)])
+        for trace in iter_all_pair_routes(g, s):
+            assert greedy_route(g, s, trace.source, trace.target) == trace
 
 
 class TestCheckImplications:

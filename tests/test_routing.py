@@ -286,6 +286,47 @@ class TestHubHops:
         _assert_walks_like_the_oracle(g, s, pairs)
 
 
+class TestPredecessorSkip:
+    """A hop never reads the vertex it came from, so on a path or a cycle it
+    reads one neighbour mask; the source, with no predecessor, reads all of
+    its neighbours. Each count adds the target's mask and the source's."""
+
+    @pytest.mark.parametrize("source, target", [(0, 29), (29, 0)])
+    def test_a_path_route_reads_one_mask_per_hop(self, source, target):
+        g = generate(GeneratorSpec("path", 30))
+        counted = _Counted(graph_categories(g))
+        trace = greedy_route(g, counted, source, target)
+        assert trace.delivered and trace.hops == 29
+        assert counted.vertex_masks.reads == trace.hops + 2
+
+    @pytest.mark.parametrize(
+        "n, source, target",
+        [(20, 0, 10), (20, 10, 0), (21, 0, 10), (21, 0, 11), (21, 10, 0), (21, 11, 0)],
+    )
+    def test_a_cycle_route_reads_both_neighbours_of_the_source_only(self, n, source, target):
+        g = generate(GeneratorSpec("cycle", n))
+        counted = _Counted(graph_categories(g))
+        trace = greedy_route(g, counted, source, target)
+        assert trace.delivered and trace.hops == 10
+        assert counted.vertex_masks.reads == trace.hops + 3
+
+    def test_a_grid_route_across_the_diagonal(self):
+        g = generate(GeneratorSpec("grid", 36))
+        counted = _Counted(graph_categories(g))
+        trace = greedy_route(g, counted, 0, 35)
+        assert trace.delivered and trace.hops == 10
+        assert counted.vertex_masks.reads == 21
+
+    def test_a_leaf_whose_only_neighbour_is_the_predecessor_is_stuck(self):
+        # Toward 3, 1 ties 2 and wins by id; its one neighbour is not read.
+        g = Graph(4, [(0, 1), (0, 2), (2, 3)])
+        s = _Counted(CategorySystem(4, [(1, 3), (0, 2), (2, 3)]))
+        trace = greedy_route(g, s, 0, 3)
+        assert (trace.path, trace.hop_distances, trace.delivered) == ((0, 1), (2, 1), False)
+        assert s.vertex_masks.reads == 4
+        assert greedy_step(g, s, 1, 3) is None
+
+
 class TestVerticesWithoutNeighbors:
     def test_isolated_source_is_stuck(self):
         g = Graph(2, [])
