@@ -35,10 +35,13 @@ share one canonicalisation that works on masks alone:
   one C-level test on the text: every byte is an ASCII digit, one of
   ``,[]{}:"``, JSON whitespace or a letter of the keys ``n`` and
   ``categories``, and such text spells no bool, null, minus sign, NaN or
-  escape. A file that fails the test, a scatter that raises, and every
-  ``CategorySystem(n, sets)`` go through the in-order validator, the one
-  place a member error is written: type before size before range, and the
-  first offending member in input order.
+  escape. A file that fails the test, or whose scatter raises, gets a type
+  scan of its rows and members in ``parse_categories``, the one place a
+  type error is written. It then goes, as every ``CategorySystem(n, sets)``
+  does, through the in-order validator, the one place a range error is
+  written. So type comes before size before range, and the first
+  offending member in input order is named. The constructor's rows are
+  ``operator.index`` results, exact ints, so it needs no type scan.
 
 Interchange format, shared by the CLI subcommands:
 
@@ -61,6 +64,9 @@ from .errors import ParseError, ValidationError
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 # Each byte value with its bits in reverse order.
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# _BIT[j] reads a byte string as binary digits, 1 where bit j of the byte is
+# set; _BIT[0] reads bytes of 0 and 1.
+_BIT = [bytes(b"01"[b >> j & 1] for b in range(256)) for j in range(8)]
 # The delta swaps (shift, lane mask) that transpose an 8x8 bit matrix held in
 # a 64-bit lane, row r in byte r.
 _SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
@@ -133,15 +139,12 @@ def _scatter(n, rows):
 
 
 def _checked_masks(n, rows):
-    """``_scatter(n, rows)`` after validation in input order, which raises
-    the first error it meets: a row that is no list or tuple, or a member
-    that is no int, then a negative size, then a member out of range, the
-    first such member in input order."""
-    # JSON numbers decode to exactly int or float; bools are their own type.
-    # The rows are checked first, so the members' scan reads only lists
-    # and tuples.
-    if not set(map(type, rows)) <= {list, tuple} or not set(map(type, chain.from_iterable(rows))) <= {int}:
-        raise ParseError("each category must be a list of integer vertex ids")
+    """``_scatter(n, rows)`` after validation in input order, for rows of
+    exact ints: a negative size, then a member out of range, the first such
+    member in input order. The one place a member range error is written.
+    Types are the caller's: ``CategorySystem(n, sets)`` passes
+    ``operator.index`` results, and ``parse_categories`` scans a file's rows
+    and members before it calls this."""
     _check_size(n)
     bad = next((v for v in chain.from_iterable(rows) if not 0 <= v < n), None)
     if bad is not None:
@@ -315,7 +318,8 @@ def parse_categories(text, n):
     any member that is not a vertex id, so no pass over the members only
     validates. A file that is not plain, such as one with ``-0`` members or
     a key spelled with a ``\\u`` escape, and a plain one whose scatter
-    raises, go through the in-order validator that ``CategorySystem(n,
+    raises, take the slow path: a type scan here (rows are lists, members
+    exact ints), then the in-order validator that ``CategorySystem(n,
     sets)`` always runs. It gives the same system or the same error as if
     every file took it: types before the range, and the first offending
     member in input order.
@@ -337,14 +341,17 @@ def parse_categories(text, n):
     if not isinstance(sets, list):
         raise ParseError('"categories" must be a list of member lists')
     # An empty string or object as a row would scatter to an empty mask and
-    # raise the wrong error, so rows that are not lists take the validator.
-    masks = None
-    if plain and set(map(type, sets)) <= {list}:
-        try:
-            masks = _scatter(n, sets)
-        except (IndexError, TypeError):
-            pass
+    # raise the wrong error, so rows that are not lists skip the scatter.
+    lists = set(map(type, sets)) <= {list}
+    try:
+        masks = _scatter(n, sets) if plain and lists else None
+    except (IndexError, TypeError):
+        masks = None
     if masks is None:
+        # JSON numbers decode to exactly int or float; bools are their own
+        # type. The rows are checked first, so the members' scan reads lists.
+        if not lists or not set(map(type, chain.from_iterable(sets))) <= {int}:
+            raise ParseError("each category must be a list of integer vertex ids")
         masks = _checked_masks(n, sets)
     return CategorySystem._of(_canonical(n, masks))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import and_
 
-from .categories import _BYTE_BITS, _members, membership_dimension
+from .categories import _BIT, _BYTE_BITS, _members, membership_dimension
 from .errors import InternalCheckError
 from .graph import is_tree
 from .routing import RouteTrace, _check_universe, greedy_route
@@ -29,7 +29,6 @@ ALL_PAIRS_ROUTING = "all-pairs-routing"
 _BLOCK = 512
 # Field widths of the sweep's packed shared counts, narrowest first.
 _WIDTHS = (8, 16, 32, 64)
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -227,7 +226,7 @@ def _next_hops(adjacency, packed, size, width):
                 # The low byte of each field, 0 or 1, highest field first,
                 # read as binary digits.
                 digits = (own >> shift).to_bytes(nbytes, "big")[step - 1::step]
-                into[v].append((u, int(digits.translate(_BINARY_DIGITS), 2)))
+                into[v].append((u, int(digits.translate(_BIT[0]), 2)))
     return into
 
 

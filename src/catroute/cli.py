@@ -22,10 +22,10 @@ from .checks import (
     is_shattered,
     verify_all_pairs_routing,
 )
-from .construct import _category_masks, _halfspaces
+from .construct import _category_masks, _diameter
 from .errors import GenerationError, InternalCheckError, ParseError, ValidationError
 from .fixtures import run_fixtures
-from .graph import diameter, parse_edge_list
+from .graph import parse_edge_list
 from .routing import format_trace, greedy_route
 
 
@@ -154,12 +154,7 @@ def _check(args):
 
 def _stats(args):
     g = parse_edge_list(_read(args.graph))
-    # A partial cube with diam(g) Theta classes has two halfspaces per class,
-    # and its recognition is faster than the reach sweep. A tree skips it, as
-    # in the construction: the centre peel gives its diameter.
-    halfspaces = _halfspaces(g) if g.num_edges != g.n - 1 else None
-    diam = diameter(g) if halfspaces is None else halfspaces.num_categories // 2
-    text = f"n={g.n}\nm={g.num_edges}\ndiam={diam}\n"
+    text = f"n={g.n}\nm={g.num_edges}\ndiam={_diameter(g)}\n"
     if args.cats:
         system = parse_categories(_read(args.cats), g.n)
         counts = list(map(int.bit_count, system.vertex_masks))

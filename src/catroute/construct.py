@@ -47,7 +47,9 @@ dist(s, t). So every greedy hop moves one step along a shortest path, and
 since any system that routes has memdim >= diam, a class count equal to
 diam(g) is optimal. Paths, even cycles, grids and hypercubes qualify; a
 tree is a partial cube whose classes are its edges, so among trees only
-paths do.
+paths do. Where the rule gives g its halfspaces, their class count is
+diam(g): ``_diameter``, which ``catroute stats`` calls, reads it off the
+recognition there and runs the reach sweep only on the other graphs.
 
 Recognition (``_halfspaces``) runs no all-sources sweep:
 
@@ -138,13 +140,9 @@ from itertools import accumulate, combinations
 from math import comb
 from operator import or_
 
-from .categories import CategorySystem, _canonical, _CanonicalMasks
+from .categories import _BIT, CategorySystem, _canonical, _CanonicalMasks
 from .errors import ValidationError
-from .graph import RootedTree, _path_shaped, bfs_spanning_tree, choose_root
-
-# _BIT[j] reads a ``_root_pass`` byte array as binary digits, 1 where bit j
-# of the byte is set.
-_BIT = [bytes(b"01"[b >> j & 1] for b in range(256)) for j in range(8)]
+from .graph import RootedTree, _path_shaped, bfs_spanning_tree, choose_root, diameter
 
 
 def path_categories(g):
@@ -383,18 +381,32 @@ def _category_masks(g, root_of=None):
     system of. ``root_of(g)``, the BFS tree's root, is called on the tree
     branch alone; by default it is ``choose_root``, looked up then, so that
     a rebinding after import (as perfbench/tracer.py makes) runs. A graph
-    with n - 1 edges skips the recognition: if connected it is a tree, whose
-    halfspaces apply exactly when it is a path. The halfspace and path
-    branches hand on the vertex masks their systems have transposed; the
-    tree branch transposes nothing.
+    ``_recognised`` gives no halfspaces goes to ``path_categories`` if it is
+    path-shaped. The halfspace and path branches hand on the vertex masks
+    their systems have transposed; the tree branch transposes nothing.
     """
-    if g.num_edges != g.n - 1:
-        system = _halfspaces(g)
-    else:
-        system = path_categories(g) if _path_shaped(g) else None
+    system = _recognised(g)
+    if system is None and _path_shaped(g):
+        system = path_categories(g)
     if system is not None:
         return _CanonicalMasks(g.n, system.category_masks, system.vertex_masks)
     return _canonical(g.n, set(_masks(bfs_spanning_tree(g, (root_of or choose_root)(g)))))
+
+
+def _recognised(g):
+    """``_halfspaces(g)``, or None without running it on a graph with
+    n - 1 edges: if connected that is a tree, whose halfspaces apply exactly
+    when it is a path, and ``path_categories`` builds those in O(n) ORs."""
+    return _halfspaces(g) if g.num_edges != g.n - 1 else None
+
+
+def _diameter(g):
+    """diam(g), for ``catroute stats``. A graph the dispatch gives its
+    halfspaces has diam(g) Theta classes, two halfspaces each, so the
+    recognition, faster than the reach sweep, gives it. Every other graph
+    takes ``graph.diameter``, a tree its centre peel."""
+    system = _recognised(g)
+    return diameter(g) if system is None else system.num_categories // 2
 
 
 def _code_bits(k):

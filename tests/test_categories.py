@@ -229,6 +229,21 @@ class TestParseAndSerialize:
         with pytest.raises(ValidationError, match=r"^category member 7 out of range for n=5$"):
             parse_categories('{"n":5,"categories":[[0],[3,7,-1,9]]}', 5)
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"n":"3","categories":[]}', '"n" must be an integer'),
+            ('{"n":true,"categories":[]}', '"n" must be an integer'),
+            ('{"n":3.0,"categories":[]}', '"n" must be an integer'),
+            ('{"n":3,"categories":{"0":[0]}}', '"categories" must be a list of member lists'),
+        ],
+        ids=["n-string", "n-bool", "n-float", "categories-object"],
+    )
+    def test_misshapen_values_are_named(self, text, error):
+        with pytest.raises(ParseError) as err:
+            parse_categories(text, 3)
+        assert str(err.value) == error
+
     def test_wrong_shape(self):
         with pytest.raises(ParseError):
             parse_categories('{"n":3}', 3)

@@ -9,6 +9,7 @@ import pytest
 
 from catroute import categories as categories_module
 from catroute import cli as cli_module
+from catroute import construct as construct_module
 from catroute import graph as graph_module
 from catroute import (
     GeneratorSpec,
@@ -85,6 +86,12 @@ class TestConstruct:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["construct", "--graph", "/nonexistent.edges"]) == 2
+
+    def test_an_empty_graph_has_no_root(self, tmp_path, capsys):
+        graph_file = tmp_path / "empty.edges"
+        graph_file.write_text("n 0\n")
+        assert main(["construct", "--graph", str(graph_file)]) == 2
+        assert capsys.readouterr() == ("", "error: cannot choose a root in an empty graph\n")
 
     def test_tree_edge_count_with_a_cycle_is_disconnected(self, tmp_path, capsys):
         # n - 1 edges, but a triangle and an isolated vertex: no tree.
@@ -191,6 +198,32 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == "shattered: FAIL witness=(2, 0)\n"
         assert captured.err == ""
+
+    def test_split_category_prints_its_index(self, tmp_path, capsys):
+        # On the path 0-1-2, {0, 2} is not connected without 1.
+        graph_file, cats_file = tmp_path / "p.edges", tmp_path / "split.json"
+        graph_file.write_text("0 1\n1 2\n")
+        cats_file.write_text('{"n":3,"categories":[[0,2],[1]]}')
+        argv = ["check", "--graph", str(graph_file), "--cats", str(cats_file), "--props", "internal"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("internally-connected: FAIL witness=category 0\n", "")
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ('{"n":"4","categories":[]}', '"n" must be an integer'),
+            ('{"n":true,"categories":[]}', '"n" must be an integer'),
+            ('{"n":4.0,"categories":[]}', '"n" must be an integer'),
+            ('{"n":4,"categories":{"0":[0]}}', '"categories" must be a list of member lists'),
+        ],
+        ids=["n-string", "n-bool", "n-float", "categories-object"],
+    )
+    def test_misshapen_category_file_is_usage_error(self, counter_files, tmp_path, capsys, body, error):
+        graph_file, _ = counter_files
+        cats_file = tmp_path / "bad.json"
+        cats_file.write_text(body)
+        assert main(["check", "--graph", graph_file, "--cats", str(cats_file)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_unknown_property_is_usage_error(self, counter_files, capsys):
         graph_file, cats_file = counter_files
@@ -340,7 +373,7 @@ class TestStats:
     def test_partial_cubes_skip_the_reach_sweep(self, tmp_path, capsys, monkeypatch, g, diam):
         graph_file = tmp_path / "g.edges"
         graph_file.write_text(serialize_edge_list(g))
-        monkeypatch.setattr(cli_module, "diameter", lambda g: pytest.fail("reach sweep run"))
+        monkeypatch.setattr(construct_module, "diameter", lambda g: pytest.fail("reach sweep run"))
         assert main(["stats", "--graph", str(graph_file)]) == 0
         assert capsys.readouterr().out == f"n={g.n}\nm={g.num_edges}\ndiam={diam}\n"
 

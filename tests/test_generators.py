@@ -131,6 +131,10 @@ class TestErrors:
     @pytest.mark.parametrize(
         "payload",
         [
+            [],
+            None,
+            {"family": "path"},
+            {"n": 4},
             {"family": 5, "n": 4},
             {"family": "path", "n": "abc"},
             {"family": "path", "n": 2.9},
@@ -150,7 +154,7 @@ class TestErrors:
             {"family": "star", "n": 10, "params": {"p": 0.5}},
         ],
         ids=[
-            "family-int", "n-str", "n-float", "n-bool", "seed-null", "seed-float",
+            "spec-list", "spec-null", "no-n", "no-family", "family-int", "n-str", "n-float", "n-bool", "seed-null", "seed-float",
             "params-list", "p-str", "p-bool", "k-float", "beta-str", "beta-bool",
             "rows-float", "cols-bool", "dims-negative", "param-misspelt", "param-foreign",
         ],
@@ -175,6 +179,10 @@ class TestErrors:
     def test_spec_from_dict_rejects_unknown_keys(self):
         with pytest.raises(GenerationError):
             GeneratorSpec.from_dict({"family": "path", "n": 3, "colour": "red"})
+
+    def test_grid_needs_cols_with_rows(self):
+        with pytest.raises(GenerationError, match=r"^grid needs both rows and cols \(or neither\)$"):
+            generate(GeneratorSpec.from_dict({"family": "grid", "n": 12, "params": {"rows": 3}}))
 
 
 class TestSpecRoundtrip:

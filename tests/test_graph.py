@@ -270,6 +270,11 @@ class TestBfsSpanningTree:
         with pytest.raises(DisconnectedGraphError):
             bfs_spanning_tree(Graph(3, [(0, 1)]), 0)
 
+    @pytest.mark.parametrize("root", [4, -1])
+    def test_root_out_of_range(self, root):
+        with pytest.raises(ValidationError, match=f"^root {root} out of range for n=4$"):
+            bfs_spanning_tree(path_graph(4), root)
+
 
 class TestRootedTree:
     def test_root_with_a_parent_rejected(self):
