@@ -11,12 +11,15 @@ One rule picks the construction. ``graph_categories``, ``bench_one`` and
 * otherwise ``tree_categories`` runs on the BFS tree T from a center vertex,
   and T gets its code families:
 
-  Every vertex v other than the root gets the set of its descendants. (The
-  root's would hold every vertex: it adds 0 to every |cat(t) \\ cat(s)| and
-  separates no pair.) A vertex with k >= 2 children gets m(k) families,
-  m(k) the fewest bits m with C(m, floor(m/2)) >= k: each child c takes its
-  own floor(m/2)-subset code(c) of the m bits, the tallest children the
-  first subsets in lexicographic order. Family j has as its base v plus the
+  Every vertex v other than the root with at most one child gets its
+  subtree set, the set of its descendants. (The root's would hold every
+  vertex: it adds 0 to every |cat(t) \\ cat(s)| and separates no pair. A
+  vertex with two or more children needs none: the first slice of one of
+  its families separates the same pairs, see below.) A vertex with k >= 2
+  children gets m(k) families, m(k) the fewest bits m with
+  C(m, floor(m/2)) >= k: each child c takes its own floor(m/2)-subset
+  code(c) of the m bits, the tallest children the first subsets in
+  lexicographic order. Family j has as its base v plus the
   subtrees of the children whose code holds j; the subtrees of the other
   children, its near side, are added one depth at a time, from none of them
   to all but their deepest vertices. A vertex with one child gets no family,
@@ -104,7 +107,12 @@ set too. Take a source s and a target t != s; the next vertex u on the tree
 path from s to t is strictly closer to t than s:
 
 * every set that holds t and s is connected on T, so it holds u as well;
-* if u is a child of s, u's subtree set holds t and u but not s;
+* if u is a child of s with at most one child, u's subtree set holds t and
+  u but not s. If u has k >= 2 children, take j in the code of u's child
+  toward t, or of any child if t = u. Fewer than k codes hold j, since
+  C(m - 1, floor(m/2) - 1) <= C(m - 1, floor((m - 1)/2)) < k by the
+  minimality of m, so some child misses j and family j of u is emitted. Its
+  first slice is its base, which holds u and t but not s;
 * otherwise u is s's parent. Let w be the lowest common ancestor of s and
   t in T, and a the child of w that s is or lies below. If t lies below
   another child b, the codes of a and b are distinct sets of one size, so
@@ -121,15 +129,15 @@ So d(u, t) < d(s, t) on T, and on any graph containing T's edges greedy
 forwarding has a strictly closer neighbour at every step.
 
 Membership cost. A vertex x lies in one subtree set per ancestor-or-self
-other than the root, at most h of them, and in at most h_v + 1 sets of each
-family of an ancestor-or-self v, h_v the height of v: at most
-h + M (h + 1)^2 sets, h the tree's height and M the largest m(k). No
-routing system puts a vertex with k pendant neighbours in fewer than m(k)
-categories (Sperner's theorem). A star's hub lies in its m(k) families
-alone, and a leaf in its own set and floor(m/2) families, so on a star of
-k >= 2 leaves memdim is m(k), the optimum. And m(k) <= 2 ceil(log2 k), the
-families a binary split of the k children into halves, quarters and so on
-would need.
+other than the root that has at most one child, at most h of them, and in
+at most h_v + 1 sets of each family of an ancestor-or-self v, h_v the
+height of v: at most h + M (h + 1)^2 sets, h the tree's height and M the
+largest m(k). No routing system puts a vertex with k pendant neighbours in
+fewer than m(k) categories (Sperner's theorem). A star's hub lies in its
+m(k) families alone, and a leaf in its own set and floor(m/2) families, so
+on a star of k >= 2 leaves memdim is m(k), the optimum. And
+m(k) <= 2 ceil(log2 k), the families a binary split of the k children into
+halves, quarters and so on would need.
 """
 
 from __future__ import annotations
@@ -281,13 +289,13 @@ def binary_tree_categories(tree):
     or more children raises ``ValidationError``.
 
     With at most two children per vertex, the two children of a vertex take
-    the codes {0} and {1} (module docstring): each non-root vertex has its
-    subtree set, and each child c of a vertex v with two children or of the
-    root has one set per depth down c's subtree, holding v, that slice of
-    c's subtree and v's other subtree whole. Each vertex lies in at most
-    (h+1)(2h+3) - 1 sets, h the tree height: one subtree set per
-    ancestor-or-self but the root, and at most h+1 graded sets per side of
-    each.
+    the codes {0} and {1} (module docstring): each non-root vertex with at
+    most one child has its subtree set, and each child c of a vertex v with
+    two children or of the root has one set per depth down c's subtree,
+    holding v, that slice of c's subtree and v's other subtree whole. Each
+    vertex lies in at most (h+1)(2h+3) - 1 sets, h the tree height: at most
+    one subtree set per ancestor-or-self but the root, and at most h+1
+    graded sets per side of each.
     """
     for v, kids in enumerate(tree.children):
         if len(kids) > 2:
@@ -356,10 +364,11 @@ def embed_into_binary(tree):
 
 def tree_categories(tree):
     """Categories for an arbitrary rooted tree: the subtree sets of its
-    non-root vertices and its code families (see the module docstring). On a
-    path these are its halfspaces, at any root. The result is internally
-    connected and shattered on the tree, so greedy routing delivers every
-    pair on it and on any graph that contains its edges."""
+    non-root vertices with at most one child and its code families (see the
+    module docstring). On a path these are its halfspaces, at any root. The
+    result is internally connected and shattered on the tree, so greedy
+    routing delivers every pair on it and on any graph that contains its
+    edges."""
     return CategorySystem.from_masks(tree.n, _masks(tree))
 
 
@@ -419,8 +428,9 @@ def _code_bits(k):
 
 
 def _masks(tree):
-    """The subtree sets of the non-root vertices of ``tree`` and the code
-    families of every vertex (see the module docstring), as vertex masks."""
+    """The subtree sets of the non-root vertices of ``tree`` with at most
+    one child and the code families of every vertex (see the module
+    docstring), as vertex masks."""
     n = tree.n
     order, parent, children = tree.order, tree.parent, tree.children
     bit = [1 << v for v in range(n)]
@@ -437,7 +447,9 @@ def _masks(tree):
     for v in range(n):
         levels[depth[v]] |= bit[v]
     upto = list(accumulate(levels, or_))
-    masks = [subtree[v] for v in order[1:]]
+    # A vertex with two or more children needs no subtree set: the first
+    # slice of a family of its own separates the same pairs.
+    masks = [subtree[v] for v in order[1:] if len(children[v]) < 2]
     for v in order:
         kids = children[v]
         m = _code_bits(len(kids))

@@ -204,10 +204,15 @@ def _root_and_diameter(g):
     growing while no vertex is full raises ``DisconnectedGraphError(0, v)``,
     v the lowest vertex missing from the ball, that is the lowest vertex
     unreachable from 0. A graph with n - 1 edges that is not a tree has a
-    cycle and is disconnected, and reaches that error through the sweep.
+    cycle and is disconnected, and reaches that error through the sweep. A
+    graph with fewer than n - 1 edges cannot be connected: one BFS from 0
+    raises the same error before the sweep allocates its n balls.
     """
     n = g.n
-    peeled = _peel_to_centre(g) if g.num_edges == n - 1 else None
+    m = g.num_edges
+    if m < n - 1:
+        raise DisconnectedGraphError(0, bfs_distances(g, 0).index(None))
+    peeled = _peel_to_centre(g) if m == n - 1 else None
     if peeled is not None:
         radius, centre = peeled
         yield min(centre)

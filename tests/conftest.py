@@ -364,6 +364,37 @@ def oracle_internally_connected(g, system):
     return None
 
 
+def oracle_sperner_bound(k):
+    """m(k), the least m with C(m, floor(m/2)) >= k: by Sperner's theorem
+    the fewest categories a routing system can put a vertex with k >= 2
+    pendant neighbours in, since the pendants' traces on its categories
+    must form an antichain."""
+    m = 0
+    while math.comb(m, m // 2) < k:
+        m += 1
+    return m
+
+
+def oracle_lower_bound_violation(g, system):
+    """The first vertex of the connected graph ``g`` at which ``system``
+    breaks a lower bound that every system routing all pairs on ``g``
+    meets, else None. ``("ecc", t, |cat(t)|, ecc(t))``: a greedy route from
+    s to t takes at most |cat(t) \\ cat(s)| hops and at least dist(s, t), so
+    |cat(t)| >= ecc(t). ``("sperner", v, |cat(v)|, m(k))``: v has k >= 2
+    pendant neighbours but lies in fewer than m(k) categories. One BFS per
+    vertex, memberships read off the member tuples."""
+    owned = oracle_memberships(system)
+    for t in range(g.n):
+        have = len(owned[t])
+        eccentricity = max(bfs_distances(g, t))
+        if have < eccentricity:
+            return ("ecc", t, have, eccentricity)
+        pendants = sum(g.degree(u) == 1 for u in g.adjacency[t])
+        if pendants >= 2 and have < oracle_sperner_bound(pendants):
+            return ("sperner", t, have, oracle_sperner_bound(pendants))
+    return None
+
+
 def oracle_is_ancestor(tree, a, b):
     """Is a an ancestor of b (inclusive) by walking parents?"""
     node = b
@@ -385,13 +416,14 @@ def tree_height(tree):
 
 def oracle_binary_tree_sets(tree):
     """The sets ``binary_tree_categories``' docstring defines, re-derived as
-    member tuples: per vertex v other than the root its descendants (v
-    included) and, for each child c of v when v has two children or is the
-    root, one set per depth i from depth(v) up to depth(v) plus c's height,
-    holding v, the members of c's subtree at depth at most i, and the whole
-    subtree of v's other child, if any. Depths come from a BFS from the root
-    and descendants from walking parents. Returns the distinct sets in
-    lexicographic order, as ``CategorySystem.categories`` lists them."""
+    member tuples: per vertex v other than the root with at most one child
+    its descendants (v included) and, for each child c of v when v has two
+    children or is the root, one set per depth i from depth(v) up to
+    depth(v) plus c's height, holding v, the members of c's subtree at depth
+    at most i, and the whole subtree of v's other child, if any. Depths come
+    from a BFS from the root and descendants from walking parents. Returns
+    the distinct sets in lexicographic order, as
+    ``CategorySystem.categories`` lists them."""
     depth = bfs_distances(tree.graph, tree.root)
     below = [[] for _ in range(tree.n)]
     for x in range(tree.n):
@@ -401,9 +433,9 @@ def oracle_binary_tree_sets(tree):
             walk = tree.parent[walk]
     sets = set()
     for v in range(tree.n):
-        if v != tree.root:
-            sets.add(tuple(below[v]))
         kids = [x for x in range(tree.n) if tree.parent[x] == v]
+        if v != tree.root and len(kids) <= 1:
+            sets.add(tuple(below[v]))
         if len(kids) == 1 and v != tree.root:
             continue
         for c in kids:
@@ -418,13 +450,13 @@ def oracle_binary_tree_sets(tree):
 def oracle_code_family_sets(tree):
     """The sets of ``tree_categories``, as the construct module docstring
     defines them, re-derived as member tuples: per vertex v other than the
-    root its descendants, and per vertex with k >= 2 children (or the root
-    with one) m families, m the least with C(m, floor(m/2)) >= k
-    (at least 1). The children, tallest first and ties by id, take the
-    floor(m/2)-subsets of range(m) in lexicographic order. Family j holds v
-    and the subtrees of the children whose code has j, plus the other
-    children's members at depth at most i, for i from depth(v) to
-    depth(v) plus the tallest of those children's heights."""
+    root with at most one child its descendants, and per vertex with k >= 2
+    children (or the root with one) m families, m the least with
+    C(m, floor(m/2)) >= k (at least 1). The children, tallest first and
+    ties by id, take the floor(m/2)-subsets of range(m) in lexicographic
+    order. Family j holds v and the subtrees of the children whose code has
+    j, plus the other children's members at depth at most i, for i from
+    depth(v) to depth(v) plus the tallest of those children's heights."""
     depth = bfs_distances(tree.graph, tree.root)
     below = [[] for _ in range(tree.n)]
     for x in range(tree.n):
@@ -433,14 +465,13 @@ def oracle_code_family_sets(tree):
             below[walk].append(x)
             walk = tree.parent[walk]
     height = [max(depth[x] for x in below[v]) - depth[v] for v in range(tree.n)]
-    sets = {tuple(below[v]) for v in range(tree.n) if v != tree.root}
+    child_count = [sum(tree.parent[x] == v for x in range(tree.n)) for v in range(tree.n)]
+    sets = {tuple(below[v]) for v in range(tree.n) if v != tree.root and child_count[v] <= 1}
     for v in range(tree.n):
         kids = sorted((x for x in range(tree.n) if tree.parent[x] == v), key=lambda c: (-height[c], c))
         if not kids or (len(kids) == 1 and v != tree.root):
             continue
-        m = 1
-        while math.comb(m, m // 2) < len(kids):
-            m += 1
+        m = max(oracle_sperner_bound(len(kids)), 1)
         codes = list(itertools.combinations(range(m), m // 2))
         for j in range(m):
             held = [c for c, code in zip(kids, codes) if j in code]

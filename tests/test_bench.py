@@ -23,6 +23,8 @@ from catroute.bench import (
     specs_from_json,
 )
 
+from conftest import oracle_lower_bound_violation
+
 
 def _csv_without_millis(text):
     rows = []
@@ -137,10 +139,10 @@ PINNED_SPECS = [
 ]
 PINNED_ROWS = (
     "seed,family,n,m,diam,memdim,all_pairs_ok,max_route_len,mean_route_len,ratio",
-    "200,gnp-connected,100,305,5,22,true,7,3.6852,0.162267",
-    "200,gnp-connected,500,1450,7,50,true,11,5.6940,0.196151",
-    "201,random-tree,100,99,13,50,true,13,5.9735,0.129574",
-    "201,random-tree,500,499,22,144,true,22,8.9751,0.150175",
+    "200,gnp-connected,100,305,5,21,true,7,3.6885,0.154891",
+    "200,gnp-connected,500,1450,7,47,true,11,5.6963,0.184381",
+    "201,random-tree,100,99,13,47,true,13,5.9735,0.121799",
+    "201,random-tree,500,499,22,139,true,22,8.9751,0.144961",
     "202,path,100,99,99,99,true,99,33.6667,0.008870",
     "202,path,500,499,499,499,true,499,167.0000,0.001934",
     "203,cycle,100,100,50,50,true,50,25.2525,0.015583",
@@ -151,8 +153,8 @@ PINNED_ROWS = (
     "205,star,500,499,2,12,true,2,1.9960,0.099793",
     "206,complete,100,4950,1,9,true,1,1.0000,0.154034",
     "206,complete,500,124750,1,12,true,1,1.0000,0.120825",
-    "207,watts-strogatz,100,200,9,37,true,11,5.5758,0.151187",
-    "207,watts-strogatz,500,1000,13,92,true,16,8.8510,0.190675",
+    "207,watts-strogatz,100,200,9,35,true,11,5.5776,0.143015",
+    "207,watts-strogatz,500,1000,13,88,true,16,8.8516,0.182385",
 )
 
 
@@ -182,11 +184,16 @@ def test_halfspace_specs_run_no_eccentricity_pass(monkeypatch):
 def test_pinned_specs_meet_the_diameter_bound(spec):
     # Any system that routes has memdim >= diam; paths, grids and even
     # cycles are partial cubes with diam classes, so their halfspaces meet it.
+    # At n = 100 the oracle also checks |cat(t)| >= ecc(t) at every t, and
+    # m(k) categories at a vertex with k >= 2 pendant neighbours.
     g = generate(spec)
-    memdim, diam = membership_dimension(graph_categories(g)), diameter(g)
+    system = graph_categories(g)
+    memdim, diam = membership_dimension(system), diameter(g)
     assert memdim >= diam
     if spec.family in ("path", "grid") or (spec.family == "cycle" and spec.n % 2 == 0):
         assert memdim == diam
+    if spec.n == 100:
+        assert oracle_lower_bound_violation(g, system) is None
 
 
 class TestSpecsFromJson:

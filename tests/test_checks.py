@@ -1,3 +1,6 @@
+import math
+from itertools import count
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -31,16 +34,20 @@ from catroute.errors import InternalCheckError, ValidationError
 from catroute.fixtures import counterexample_cycle
 from catroute.graph import bfs_spanning_tree
 
+import conftest
 from conftest import (
     cycle_graph,
     oracle_all_pairs_routing,
     oracle_internally_connected,
+    oracle_lower_bound_violation,
     oracle_shattered,
+    oracle_sperner_bound,
     path_graph,
     random_category_system,
     random_connected_graph,
     random_tree,
     seeded,
+    star_graph,
 )
 
 # Prefix/suffix sets for the path 0-1-2-3-4, enumerated by hand.
@@ -650,3 +657,29 @@ def test_routing_success_forces_dimension_at_least_diameter(n, seed):
     s = tree_categories(bfs_spanning_tree(g, 0))
     if verify_all_pairs_routing(g, s).holds:
         assert membership_dimension(s) >= diameter(g)
+
+
+class TestLowerBoundOracle:
+    def test_a_vertex_in_fewer_categories_than_its_eccentricity(self):
+        # On 0-1-2, vertex 0 lies in one category but is 2 hops from 2.
+        system = CategorySystem(3, [(1, 2), (0, 1)])
+        assert oracle_lower_bound_violation(path_graph(3), system) == ("ecc", 0, 1, 2)
+        assert not verify_all_pairs_routing(path_graph(3), system).holds
+
+    def test_a_hub_below_the_sperner_bound(self):
+        # Three leaves need their hub in m(3) = 3 categories; here it lies
+        # in 2, and every vertex still meets its eccentricity.
+        g = star_graph(4)
+        system = CategorySystem(4, [(0, 1, 2), (0, 3), (1,), (2, 3)])
+        assert oracle_lower_bound_violation(g, system) == ("sperner", 0, 2, 3)
+        assert not verify_all_pairs_routing(g, system).holds
+
+    def test_m_of_k_from_the_first_layer_fails_a_routing_star(self, monkeypatch):
+        # With C(m, 1) in place of C(m, floor(m/2)), m(9) would be 9: the
+        # hub of a routing star on 9 leaves lies in m(9) = 5 categories.
+        g = star_graph(10)
+        system = graph_categories(g)
+        assert oracle_sperner_bound(9) == 5
+        assert oracle_lower_bound_violation(g, system) is None
+        monkeypatch.setattr(conftest, "oracle_sperner_bound", lambda k: next(m for m in count() if math.comb(m, 1) >= k))
+        assert oracle_lower_bound_violation(g, system) == ("sperner", 0, 5, 9)

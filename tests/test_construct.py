@@ -1,5 +1,5 @@
 import math
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 
 import pytest
 from hypothesis import given, settings
@@ -43,8 +43,10 @@ from conftest import (
     oracle_embedding_parents,
     oracle_halfspaces,
     oracle_is_ancestor,
+    oracle_lower_bound_violation,
     oracle_memberships,
     oracle_per_class_halfspaces,
+    oracle_sperner_bound,
     oracle_theta_classes,
     path_graph,
     random_binary_tree,
@@ -325,8 +327,7 @@ class TestCodeFamilies:
         # k pendant leaves need their hub in m(k) categories, m(k) the least
         # m with C(m, floor(m/2)) >= k, and the hub holds exactly its m(k)
         # families.
-        k = n - 1
-        m = next(m for m in range(1, k + 1) if math.comb(m, m // 2) >= k)
+        m = oracle_sperner_bound(n - 1)
         system = graph_categories(star_graph(n))
         assert system.vertex_masks[0].bit_count() == membership_dimension(system) == m
 
@@ -336,9 +337,54 @@ class TestCodeFamilies:
         for i in range(40):
             tree = random_tree(rng, rng.randint(2, 300), skew="hub" if i % 2 else "uniform")
             h = tree_height(tree)
-            most = max(next(m for m in range(len(kids) + 1) if math.comb(m, m // 2) >= len(kids))
-                       for kids in tree.children)
+            most = max(oracle_sperner_bound(len(kids)) for kids in tree.children)
             assert membership_dimension(tree_categories(tree)) <= h + max(most, 1) * (h + 1) ** 2
+
+    def test_a_vertex_with_two_children_gets_no_subtree_set(self):
+        # 0 - 1 - {2, 3}: the first slice {1, 2} of 1's family 0 separates
+        # every pair {1, 2, 3} would, so that set is not built.
+        tree = RootedTree([None, 0, 1, 1], 0)
+        assert tree_categories(tree).categories == ((0,), (0, 1), (1, 2), (1, 3), (2,), (3,))
+
+    def test_a_spider_routes_from_its_centre_to_a_vertex_with_one_child(self):
+        # 0-1-2 and 0-3-4, rooted at 0: {1, 2}, the subtree set of 1, is
+        # the only category that holds 1 and not 0.
+        g = Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
+        system = graph_categories(g)
+        assert [c for c in system.categories if 1 in c and 0 not in c] == [(1, 2)]
+        assert_construction_contract(g, system)
+
+
+def _labelled_trees(n):
+    """Every labelled tree on n >= 2 vertices, one per Pruefer sequence:
+    each entry in turn joins the lowest vertex left with no other edge to
+    come, and the last two such vertices close the tree."""
+    for sequence in product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for v in sequence:
+            degree[v] += 1
+        edges = []
+        for v in sequence:
+            leaf = degree.index(1)
+            edges.append((leaf, v))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        edges.append(tuple(u for u in range(n) if degree[u] == 1))
+        yield Graph(n, edges)
+
+
+def test_every_labelled_tree_up_to_six_vertices():
+    # Cayley's n^(n-2) trees for n = 2..6, 1441 in all: each routes, meets
+    # the lower bounds and is the code families of its BFS tree.
+    seen = set()
+    for n in range(2, 7):
+        for g in _labelled_trees(n):
+            seen.add(tuple(g.edges()))
+            system = graph_categories(g)
+            assert_construction_contract(g, system)
+            assert system.categories == oracle_code_family_sets(bfs_spanning_tree(g, choose_root(g)))
+            assert oracle_lower_bound_violation(g, system) is None
+    assert len(seen) == 1441
 
 
 def _route_identity_graphs():

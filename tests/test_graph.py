@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -518,6 +519,39 @@ def test_disconnected_input_names_first_vertex_unreachable_from_zero(n, seed):
         with pytest.raises(DisconnectedGraphError) as err:
             call(g)
         assert err.value.unreachable_pair == (0, first)
+
+
+@pytest.mark.parametrize("g", [
+    Graph(2),
+    Graph(3, [(1, 2)]),
+    Graph(5, [(0, 1), (2, 3)]),
+    Graph(40, [(0, 1), (1, 2), (2, 0)]),
+    # n - 1 edges or more: these reach the reach sweep's own exit.
+    Graph(6, [(0, 3), (3, 5), (5, 0), (1, 2), (2, 4), (4, 1)]),
+    Graph(7, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+], ids=lambda g: f"n{g.n}-m{g.num_edges}")
+def test_disconnected_graphs_name_zero_and_its_first_unreachable_vertex(g):
+    first = bfs_distances(g, 0).index(None)
+    for call in (diameter, choose_root):
+        with pytest.raises(DisconnectedGraphError) as err:
+            call(g)
+        assert err.value.unreachable_pair == (0, first)
+
+
+def test_too_few_edges_fail_before_the_sweep_allocates():
+    # A triangle among 20,000 vertices has fewer than n - 1 edges, so it
+    # cannot be connected: one BFS names the pair, where the reach sweep's
+    # n singleton balls alone take about n^2 / 16 bytes (25 MB).
+    g = Graph(20_000, [(0, 1), (1, 2), (2, 0)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraphError) as err:
+            choose_root(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.unreachable_pair == (0, 3)
+    assert peak < 4_000_000
 
 
 @st.composite
