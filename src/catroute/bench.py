@@ -16,12 +16,11 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 
-from .categories import CategorySystem, membership_dimension
+from .categories import membership_dimension
 from .checks import route_statistics
-from .construct import _category_masks
+from .construct import _system_and_diameter
 from .errors import InternalCheckError, ValidationError
 from .generators import GeneratorSpec, generate
-from .graph import _root_and_diameter
 
 ALL_PAIRS_CAP = 500
 
@@ -62,33 +61,20 @@ def bench_one(spec):
     """Generate one instance, construct its categories, verify all pairs.
 
     Specs with more than ``ALL_PAIRS_CAP`` vertices are rejected before
-    anything is generated. The categories come from ``graph_categories``'
-    rule. Should the halfspaces not apply, its BFS tree's root (the lowest
-    vertex of minimum eccentricity, as ``choose_root`` picks it) and the
-    diameter come from one pass of ``_root_and_diameter`` (the centre peel
-    alone on a tree, the reach sweep otherwise). Should they apply, as on a
-    path, a grid or an even cycle, no pass runs: the graph has diam(g) Theta
-    classes and every vertex lies in one halfspace of each, so the diameter
-    is the membership dimension.
+    anything is generated. The categories and the diameter come from
+    ``construct._system_and_diameter``, which runs at most one eccentricity
+    pass, and ``construct_millis`` times that call. A constructed system
+    that fails to route some pair raises ``InternalCheckError``.
     """
     if spec.n > ALL_PAIRS_CAP:
         raise ValidationError(
             f"n={spec.n} exceeds the all-pairs verification cap of {ALL_PAIRS_CAP}"
         )
     g = generate(spec)
-    diam = None
-
-    def root_of(g):
-        nonlocal diam
-        root, diam = _root_and_diameter(g)
-        return root
-
     started = time.perf_counter()
-    system = CategorySystem._of(_category_masks(g, root_of))
+    system, diam = _system_and_diameter(g)
     construct_millis = int(round((time.perf_counter() - started) * 1000))
     memdim = membership_dimension(system)
-    if diam is None:
-        diam = memdim
     report, max_len, mean_len = route_statistics(g, system)
     if not report.holds:
         raise InternalCheckError(

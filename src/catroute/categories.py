@@ -307,11 +307,23 @@ def category_distance(system, a, b):
     return (vm[b] & ~vm[a]).bit_count()
 
 
+def _loads(text, what):
+    """``json.loads(text)``, for ``parse_categories`` and ``catroute bench``:
+    a ``ValueError`` (a number longer than int() converts among them) or a
+    ``RecursionError`` (nesting past the stack) is a ``ParseError`` that
+    reads ``invalid <what>: `` and the decoder's message."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid {what}: {exc}") from None
+
+
 def parse_categories(text, n):
     """Parse the JSON category format for a universe of size ``n``.
 
     The file's own "n" must match; members must be in range; duplicate sets
-    collapse and empty sets are rejected.
+    collapse and empty sets are rejected. Text that is not JSON is a
+    ``ParseError`` from ``_loads``, ``invalid JSON: ...``.
 
     Validation rule: a plain file, one whose bytes are all ``_PLAIN`` and
     whose rows are all lists, goes straight to the scatter, which raises on
@@ -326,11 +338,7 @@ def parse_categories(text, n):
     """
     # Before json.loads, so that the text's ASCII copy is freed first.
     plain = _plain(text)
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # Also a number longer than int() converts, or nesting past the stack.
-        raise ParseError(f"invalid JSON: {exc}") from None
+    payload = _loads(text, "JSON")
     if not isinstance(payload, dict) or set(payload) != {"n", "categories"}:
         raise ParseError('expected an object with exactly "n" and "categories"')
     if not isinstance(payload["n"], int) or isinstance(payload["n"], bool):

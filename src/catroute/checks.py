@@ -3,9 +3,9 @@
 Every check is exhaustive over its quantifiers, and every failed check comes
 back with a witness that can be re-verified in isolation: a disconnected
 category's index, or the first ordered vertex pair, in lexicographic order,
-for which the property breaks. The same sweeps serve the CLI's ``check`` and
-the benchmark, whose ``bench_one`` takes its hop statistics from
-``route_statistics``.
+for which the property breaks. One all-pairs sweep, ``route_statistics``,
+serves the benchmark's ``bench_one`` and, through its report
+``verify_all_pairs_routing``, the CLI's ``check``.
 """
 
 from __future__ import annotations
@@ -288,13 +288,28 @@ def _reached(into, lo, hi):
         arrivals.append(count)
 
 
-def _sweep(g, system):
-    """Routing report, max hops and mean hops over all ordered pairs.
+def verify_all_pairs_routing(g, system):
+    """Route every ordered pair; hold iff all are delivered.
 
-    Each block of targets from ``_blocks`` is routed from all sources level
-    by level. A route's hop count is its level, and the first failing pair is
-    the smallest source with a missing target, merged over blocks by source
-    first.
+    The witness is the lexicographically first failing ``(s, t)`` together
+    with the vertex the message got stuck at. This is the report of
+    ``route_statistics``, the one all-pairs sweep.
+    """
+    return route_statistics(g, system)[0]
+
+
+def route_statistics(g, system):
+    """One sweep over all ordered pairs: the routing report plus hop stats.
+
+    Returns ``(report, max_hops, mean_hops)``; the stats cover delivered
+    routes and are what the benchmark records. Each block of ``_BLOCK``
+    targets from ``_blocks`` is routed from all sources level by level
+    (``_reached``). A route's hop count is its level, and the first failing
+    pair is the smallest source with a missing target, merged over blocks by
+    source first. Cost: n^2 popcounts, plus O(m) operations on packed ints
+    of ``_BLOCK`` fields per block, plus O(levels * m) operations on
+    ``_BLOCK``-bit masks. Beyond the inputs it holds two packed ints per
+    vertex and at most one ``_BLOCK``-bit mask per directed edge.
     """
     first = None
     max_hops = total_hops = delivered = 0
@@ -318,30 +333,6 @@ def _sweep(g, system):
         report = PropertyReport(ALL_PAIRS_ROUTING, False, (*first, stuck))
     mean_hops = total_hops / delivered if delivered else 0.0
     return report, max_hops, mean_hops
-
-
-def verify_all_pairs_routing(g, system):
-    """Route every ordered pair; hold iff all are delivered.
-
-    The witness is the lexicographically first failing ``(s, t)`` together
-    with the vertex the message got stuck at. Same sweep as
-    ``route_statistics``.
-    """
-    return _sweep(g, system)[0]
-
-
-def route_statistics(g, system):
-    """One sweep over all ordered pairs: the routing report plus hop stats.
-
-    Returns ``(report, max_hops, mean_hops)``; the stats cover delivered
-    routes and are what the benchmark records. The sweep settles ``_BLOCK``
-    targets at a time (see ``_blocks`` and ``_sweep``): n^2 popcounts, plus
-    O(m) operations on packed ints of ``_BLOCK`` fields per block, plus
-    O(levels * m) operations on ``_BLOCK``-bit masks. Beyond the inputs it
-    holds two packed ints per vertex and at most one ``_BLOCK``-bit mask per
-    directed edge.
-    """
-    return _sweep(g, system)
 
 
 def iter_all_pair_routes(g, system):

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import __version__
 from .bench import run_benchmark, specs_from_json
-from .categories import parse_categories, serialize_categories
+from .categories import _loads, parse_categories, serialize_categories
 from .checks import (
     INTERNALLY_CONNECTED,
     SHATTERED,
@@ -167,11 +166,7 @@ def _stats(args):
 
 
 def _bench(args):
-    text = _read(args.spec)
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # as in parse_categories
-        raise ParseError(f"invalid bench spec JSON: {exc}") from None
+    payload = _loads(_read(args.spec), "bench spec JSON")
     return 0, run_benchmark(specs_from_json(payload))
 
 

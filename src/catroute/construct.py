@@ -150,7 +150,7 @@ from operator import or_
 
 from .categories import _BIT, CategorySystem, _canonical, _CanonicalMasks
 from .errors import ValidationError
-from .graph import RootedTree, _path_shaped, bfs_spanning_tree, choose_root, diameter
+from .graph import RootedTree, _path_shaped, _root_and_diameter, bfs_spanning_tree, choose_root, diameter
 
 
 def path_categories(g):
@@ -386,13 +386,14 @@ def graph_categories(g):
 
 def _category_masks(g, root_of=None):
     """The one construction rule as ``_CanonicalMasks``, which ``catroute
-    construct`` serializes and ``graph_categories`` and ``bench_one`` make a
-    system of. ``root_of(g)``, the BFS tree's root, is called on the tree
-    branch alone; by default it is ``choose_root``, looked up then, so that
-    a rebinding after import (as perfbench/tracer.py makes) runs. A graph
-    ``_recognised`` gives no halfspaces goes to ``path_categories`` if it is
-    path-shaped. The halfspace and path branches hand on the vertex masks
-    their systems have transposed; the tree branch transposes nothing.
+    construct`` serializes and ``graph_categories`` and
+    ``_system_and_diameter`` make a system of. ``root_of(g)``, the BFS
+    tree's root, is called on the tree branch alone; by default it is
+    ``choose_root``, looked up then, so that a rebinding after import (as
+    perfbench/tracer.py makes) runs. A graph ``_recognised`` gives no
+    halfspaces goes to ``path_categories`` if it is path-shaped. The
+    halfspace and path branches hand on the vertex masks their systems have
+    transposed; the tree branch transposes nothing.
     """
     system = _recognised(g)
     if system is None and _path_shaped(g):
@@ -416,6 +417,24 @@ def _diameter(g):
     takes ``graph.diameter``, a tree its centre peel."""
     system = _recognised(g)
     return diameter(g) if system is None else system.num_categories // 2
+
+
+def _system_and_diameter(g):
+    """``(graph_categories(g), diam(g))``, for ``bench_one``, from at most
+    one eccentricity pass. The tree branch takes its root and the diameter
+    from one ``_root_and_diameter`` (the centre peel on a tree, the reach
+    sweep otherwise). The halfspace and path branches run no pass: their
+    systems hold two halfspaces per Theta class, and there are diam(g)
+    classes, as in ``_diameter``."""
+    diam = None
+
+    def root_of(g):
+        nonlocal diam
+        root, diam = _root_and_diameter(g)
+        return root
+
+    system = CategorySystem._of(_category_masks(g, root_of))
+    return system, (system.num_categories // 2 if diam is None else diam)
 
 
 def _code_bits(k):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from catroute import (
+    CategorySystem,
     DisconnectedGraphError,
     GeneratorSpec,
     ValidationError,
@@ -14,6 +15,7 @@ from catroute import (
     run_fixtures,
 )
 from catroute import bench as bench_module
+from catroute import construct as construct_module
 from catroute.bench import (
     ALL_PAIRS_CAP,
     CSV_HEADER,
@@ -22,6 +24,7 @@ from catroute.bench import (
     run_benchmark,
     specs_from_json,
 )
+from catroute.errors import InternalCheckError
 
 from conftest import oracle_lower_bound_violation
 
@@ -81,6 +84,14 @@ class TestBenchRecords:
         with pytest.raises(DisconnectedGraphError) as err:
             bench_one(GeneratorSpec("path", 4))
         assert err.value.unreachable_pair == (0, 3)
+
+    def test_a_system_that_fails_to_route_is_an_internal_error(self, monkeypatch):
+        # The construction always routes, so a stuck pair can only mean a
+        # bug: one singleton category on a path strands the first pair.
+        monkeypatch.setattr(bench_module, "_system_and_diameter", lambda g: (CategorySystem(g.n, [(0,)]), g.n - 1))
+        with pytest.raises(InternalCheckError) as err:
+            bench_one(GeneratorSpec("path", 5))
+        assert str(err.value) == "constructed system failed to route pair (0, 1) (stuck at 0) on path n=5 seed=0"
 
 
 class TestCsvOutput:
@@ -171,7 +182,7 @@ def test_halfspace_specs_run_no_eccentricity_pass(monkeypatch):
     def refuse(g):
         raise AssertionError("eccentricity pass ran")
 
-    monkeypatch.setattr(bench_module, "_root_and_diameter", refuse)
+    monkeypatch.setattr(construct_module, "_root_and_diameter", refuse)
     for spec in (GeneratorSpec("path", 100, 202), GeneratorSpec("grid", 100, 204), GeneratorSpec("cycle", 100, 203)):
         record = bench_one(spec)
         assert record.all_pairs_ok

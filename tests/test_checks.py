@@ -26,6 +26,7 @@ from catroute import checks
 from catroute.checks import (
     ALL_PAIRS_ROUTING,
     INTERNALLY_CONNECTED,
+    SHATTERED,
     PropertyReport,
     _uncertified,
     iter_all_pair_routes,
@@ -234,6 +235,33 @@ class TestCheckImplications:
             report = check_implications(tree.graph, s)
             assert report.tree_sufficiency_applied
             assert report.routing.holds
+
+    # The implications always hold, so only a faulty verifier can break
+    # one: each of the three tests below fakes one and expects its raise.
+    def test_routing_past_an_unshattered_system_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(checks, "verify_all_pairs_routing", lambda g, s: PropertyReport(ALL_PAIRS_ROUTING, True))
+        with pytest.raises(InternalCheckError) as err:
+            check_implications(Graph(2, [(0, 1)]), CategorySystem(2, []))
+        assert str(err.value) == "system is not shattered yet all pairs routed successfully"
+
+    def test_a_shattered_witness_that_routes_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(checks, "is_shattered", lambda g, s: PropertyReport(SHATTERED, False, (0, 4)))
+        monkeypatch.setattr(
+            checks, "verify_all_pairs_routing", lambda g, s: PropertyReport(ALL_PAIRS_ROUTING, False, (0, 4, 0))
+        )
+        with pytest.raises(InternalCheckError) as err:
+            check_implications(PATH5, PATH5_SETS)
+        assert str(err.value) == "shattered witness pair (0, 4) routed successfully"
+
+    def test_a_tree_system_that_fails_to_route_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(
+            checks, "verify_all_pairs_routing", lambda g, s: PropertyReport(ALL_PAIRS_ROUTING, False, (1, 3, 2))
+        )
+        with pytest.raises(InternalCheckError) as err:
+            check_implications(PATH5, PATH5_SETS)
+        assert str(err.value) == (
+            "tree with an internally connected, shattered system failed to route pair (1, 3)"
+        )
 
 
 class TestWitnessRecheck:

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from catroute import bench as bench_module
 from catroute import categories as categories_module
 from catroute import cli as cli_module
 from catroute import construct as construct_module
 from catroute import graph as graph_module
 from catroute import (
+    CategorySystem,
     GeneratorSpec,
     generate,
     graph_categories,
@@ -412,6 +414,15 @@ class TestBench:
             "", "error: n=501 exceeds the all-pairs verification cap of 500\n"
         )
 
+    def test_a_system_that_fails_to_route_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(bench_module, "_system_and_diameter", lambda g: (CategorySystem(g.n, [(0,)]), g.n - 1))
+        spec_file = tmp_path / "specs.json"
+        spec_file.write_text('[{"family":"path","n":5}]')
+        assert main(["bench", "--spec", str(spec_file)]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "internal error: constructed system failed to route pair (0, 1) (stuck at 0) on path n=5 seed=0\n",
+        )
 
     @pytest.mark.parametrize(
         "spec",

@@ -55,6 +55,9 @@ def test_a_traced_run_fills_the_layers_and_restores_the_package(tmp_path):
         main = catroute.cli.main
         assert main(["construct", "--graph", str(graph_file), "--out", str(cats_file)]) == 0
         assert main(["check", "--graph", str(graph_file), "--cats", str(cats_file)]) == 0
+        # Its all-pairs check is route_statistics' sweep.
+        assert tracer.bucket["checks.route_statistics_s"] > 0
+        assert tracer.bucket["checks.pairs_routed"] == 12 * 11
         assert main(["construct", "--graph", str(star_file), "--out", str(tmp_path / "star.json")]) == 0
         catroute.bench.bench_one(GeneratorSpec("star", 9, 1, {}))
         # No construction embeds a tree any more, so the embedding is called
@@ -83,7 +86,7 @@ def test_a_traced_run_fills_the_layers_and_restores_the_package(tmp_path):
         "categories.json_bytes",
     ):
         assert bucket[name] > 0, name
-    assert bucket["checks.pairs_routed"] == 9 * 8
+    assert bucket["checks.pairs_routed"] == 9 * 8 + 12 * 11
     assert bucket["routing.hops"] == 4
     for (layer, name), func in before.items():
         assert getattr(importlib.import_module(f"catroute.{layer}"), name) is func, name
